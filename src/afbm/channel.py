@@ -9,6 +9,8 @@ both exact and cheap.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,10 @@ class PathSpec:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError(f"delay must be >= 0, got {self.delay}")
+        if not cmath.isfinite(self.gain):
+            raise ValueError(f"gain must be finite, got {self.gain}")
+        if not math.isfinite(self.doppler):
+            raise ValueError(f"doppler must be finite, got {self.doppler}")
 
 
 @dataclass(frozen=True)
@@ -144,19 +150,26 @@ def apply_channel(c: ChannelRealization, s: np.ndarray) -> np.ndarray:
     :func:`channel_matrix` to roundoff.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim == 0:
-        raise ValueError("expected a vector or matrix of samples")
+    if s.ndim == 0 or s.shape[0] == 0:
+        raise ValueError("expected a non-empty vector or matrix of samples")
     M = s.shape[0]
     if c.size is not None and c.size != M:
         raise ValueError(f"realization is annotated for frames of "
                          f"{c.size} samples, got {M}")
     m = np.arange(M)
     out = np.zeros_like(s)
+    term = np.empty_like(s)
     for p in c.paths:
         phase = np.exp(-2j * np.pi * m * p.doppler / M)
         if s.ndim > 1:
             phase = phase[:, None]
-        out += p.gain * phase * np.roll(s, p.delay, axis=0)
+        twist = p.gain * phase
+        # Cyclic shift by d without a rolled copy: rows [d, M) take
+        # s[0, M-d), rows [0, d) wrap around from s[M-d, M).
+        d = p.delay % M
+        np.multiply(twist[d:], s[:M - d], out=term[d:])
+        np.multiply(twist[:d], s[M - d:], out=term[:d])
+        out += term
     return out
 
 

@@ -278,6 +278,11 @@ def validate(spec: ExperimentSpec) -> list[str]:
         for problem in cfg.violations():
             out.append(f"{family}/P={P}: {problem}")
         if spec.kind != "sir-waveform":
+            if spec.delay_max >= cfg.frame_size:
+                out.append(
+                    f"{family}/P={P}: delay_max {spec.delay_max} must be "
+                    f"below the frame size {cfg.frame_size}; longer delays "
+                    f"alias under the cyclic shift")
             lhs = (2.0 * (spec.doppler_max + spec.xi)
                    * (spec.delay_max + 1) + spec.delay_max)
             if not check_daft_orthogonality_condition(

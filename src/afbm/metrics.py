@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as _channel
-from .equalize import delta_from_gram, equalize_and_detect, mmse
+from .equalize import delta_from_gram, mmse_detect
 from .modem import AFFINE, FILTERED, AfbmModem, ModulationConfig, \
     qam_alphabet, qam_demap, qam_map
 
@@ -303,8 +303,7 @@ def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
         heff = modem.effective_channel_filtered(realization)
         received = modem.filtered_receive(r)
     branch_noise = modem.received_noise_power(domain, sigma2)
-    detected = equalize_and_detect(mmse(heff, branch_noise), received,
-                                   alphabet)
+    detected = mmse_detect(heff, received, branch_noise, alphabet)
     errors = int(np.sum(qam_demap(detected, order) != bits))
     return errors, n_bits
 

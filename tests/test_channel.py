@@ -20,6 +20,19 @@ class TestTypes:
         with pytest.raises(ValueError):
             ChannelRealization(paths)
 
+    @given(st.sampled_from(["gain", "doppler"]),
+           st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_non_finite_path_rejected(self, field, bad, imaginary):
+        gain, doppler = 1 + 0j, 0.5
+        if field == "gain":
+            gain = complex(0.3, bad) if imaginary else complex(bad, 0.3)
+        else:
+            doppler = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PathSpec(gain, 1, doppler)
+
     def test_config_requires_enough_delays(self):
         with pytest.raises(ValueError):
             ChannelConfig(n_paths=5, delay_max=3, doppler_max=1.0)
@@ -86,7 +99,52 @@ class TestChannelMatrix:
         assert channel_matrix(ch).shape == (24, 24)
 
 
+def rolled_reference(c, s):
+    """Per-path propagation through np.roll, the formula apply_channel
+    must reproduce byte for byte."""
+    M = s.shape[0]
+    m = np.arange(M)
+    out = np.zeros_like(s)
+    for p in c.paths:
+        phase = np.exp(-2j * np.pi * m * p.doppler / M)
+        if s.ndim > 1:
+            phase = phase[:, None]
+        out += p.gain * phase * np.roll(s, p.delay, axis=0)
+    return out
+
+
 class TestApplyChannel:
+
+    @given(st.integers(1, 40), st.integers(0, 4),
+           st.lists(st.integers(0, 100), min_size=1, max_size=4,
+                    unique=True),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_byte_identical_to_roll(self, M, columns, delays, seed):
+        # columns == 0 is the vector case; delays include 0 and >= M
+        g = np.random.default_rng(seed)
+        paths = tuple(PathSpec(complex(*g.standard_normal(2)), d,
+                               float(g.uniform(-3, 3))) for d in delays)
+        ch = ChannelRealization(paths)
+        shape = (M,) if columns == 0 else (M, columns)
+        s = g.standard_normal(shape) + 1j * g.standard_normal(shape)
+        got = apply_channel(ch, s)
+        want = rolled_reference(ch, s)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_delay_at_or_beyond_frame_wraps_like_roll(self, rng):
+        paths = (PathSpec(0.5 + 1j, 0, 0.25), PathSpec(1 - 0.5j, 8, -1.0),
+                 PathSpec(-0.3 + 0j, 19, 0.5))
+        ch = ChannelRealization(paths)
+        s = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+        got = apply_channel(ch, s)
+        assert got.tobytes() == rolled_reference(ch, s).tobytes()
+
+    def test_empty_frame_rejected(self):
+        ch = ChannelRealization((PathSpec(1 + 0j, 0, 0.0),))
+        with pytest.raises(ValueError, match="non-empty"):
+            apply_channel(ch, np.zeros(0, dtype=complex))
 
     def test_matches_dense_matrix(self, rng):
         ch = sample_channel(3, 16, 2.0, trial_stream(9, 5))

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afbm.cli import (PRESETS, main, parse_spec, run, serialize_spec,
                       spec_fingerprint, validate, write_report)
@@ -65,7 +67,35 @@ class TestSpecSerialization:
         assert spec_fingerprint(a) != spec_fingerprint(b)
 
 
+# Frames of L=8, K=2, N=16 under Hermite hold 24 + 8 = 32 samples.
+TOY_SIR = """
+kind: sir-channel
+modulation: {{L: 8, K: 2, N: 16, P: [12], filter: [hermite]}}
+channel: {{paths: 2, delay_max: {delay_max}, doppler_max: 0.5}}
+realizations: 1
+"""
+
+
 class TestValidate:
+
+    @given(st.integers(32, 500), st.sampled_from(["sir-channel", "ber"]))
+    @settings(max_examples=25, deadline=None)
+    def test_delay_beyond_frame_refused(self, delay_max, kind):
+        text = TOY_SIR.format(delay_max=delay_max)
+        spec = parse_spec(text.replace("kind: sir-channel", f"kind: {kind}"))
+        hits = [v for v in validate(spec) if "alias" in v]
+        assert hits == [f"hermite/P=12: delay_max {delay_max} must be below "
+                        f"the frame size 32; longer delays alias under the "
+                        f"cyclic shift"]
+        # a hard refusal: the separability override does not lift it
+        with pytest.raises(ValueError, match="frame size 32"):
+            run(spec, override_orthogonality=True, workers=1)
+
+    @given(st.integers(1, 31))
+    @settings(max_examples=15, deadline=None)
+    def test_delay_within_frame_not_refused_for_aliasing(self, delay_max):
+        spec = parse_spec(TOY_SIR.format(delay_max=delay_max))
+        assert not [v for v in validate(spec) if "alias" in v]
 
     def test_clean_spec(self):
         assert validate(parse_spec(SMALL_SIR)) == []

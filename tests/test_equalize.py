@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from afbm.channel import channel_matrix, sample_channel, trial_stream
+from afbm.channel import (add_awgn, apply_channel, channel_matrix,
+                          sample_channel, trial_stream)
 from afbm.equalize import (DeltaMatrix, conditioned_delta, delta_from_gram,
-                           delta_matrix, equalize_and_detect, mmse)
+                           delta_matrix, equalize_and_detect, mmse,
+                           mmse_detect)
 from afbm.modem import AFFINE, FILTERED, EffectiveChannel, qam_alphabet
 
 
@@ -45,6 +49,14 @@ class TestMmse:
     def test_rejects_negative_noise(self, rng):
         with pytest.raises(ValueError):
             mmse(random_heff(4, rng), -0.1)
+
+    def test_singular_gram_names_context_dimension_and_noise(self):
+        heff = EffectiveChannel(np.zeros((6, 4), dtype=complex), AFFINE)
+        with pytest.raises(ValueError) as err:
+            mmse(heff, 0.0)
+        message = str(err.value)
+        assert message.startswith("mmse: 4x4 Gram matrix")
+        assert "sigma2=0" in message
 
 
 class TestDelta:
@@ -124,3 +136,60 @@ class TestDetection:
                             + 1j * rng.standard_normal(30))
         got = equalize_and_detect(mmse(heff, 1e-6), received, alphabet)
         assert np.array_equal(got, sent)
+
+
+class TestMmseDetect:
+
+    @given(st.integers(0, 2 ** 16), st.sampled_from([AFFINE, FILTERED]),
+           st.sampled_from([1e-4, 1e-2, 0.3]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_oracle_on_toy_frames(self, toy_modem, seed,
+                                                domain, sigma2):
+        rng = trial_stream(seed, 0)
+        ch = sample_channel(2, 4, 0.5, rng, size=toy_modem.cfg.frame_size)
+        alphabet = qam_alphabet(4)
+        sent = alphabet[rng.integers(0, 4, toy_modem.cfg.payload_size)]
+        r = add_awgn(apply_channel(ch, toy_modem.modulate(sent)), sigma2,
+                     rng)
+        if domain == AFFINE:
+            heff = toy_modem.effective_channel_affine(ch)
+            received = toy_modem.matched_demodulate(r)
+        else:
+            heff = toy_modem.effective_channel_filtered(ch)
+            received = toy_modem.filtered_receive(r)
+        noise = toy_modem.received_noise_power(domain, sigma2)
+        want = equalize_and_detect(mmse(heff, noise), received, alphabet)
+        got = mmse_detect(heff, received, noise, alphabet)
+        assert np.array_equal(got, want)
+
+    def test_recovers_clean_symbols_zero_forcing(self, rng):
+        heff = random_heff(20, rng)
+        alphabet = qam_alphabet(4)
+        sent = alphabet[rng.integers(0, 4, 20)]
+        got = mmse_detect(heff, heff.matrix @ sent, 0.0, alphabet)
+        assert np.array_equal(got, sent)
+
+    def test_rectangular_channel_shape(self, rng):
+        A = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+        heff = EffectiveChannel(A, FILTERED)
+        alphabet = qam_alphabet(4)
+        sent = alphabet[rng.integers(0, 4, 5)]
+        got = mmse_detect(heff, A @ sent, 1e-6, alphabet)
+        assert got.shape == (5,)
+        assert np.array_equal(got, sent)
+
+    @pytest.mark.parametrize("shape", [(11,), (13,), (12, 1), ()])
+    def test_rejects_misshaped_received(self, rng, shape):
+        heff = EffectiveChannel(np.ones((12, 5), dtype=complex), FILTERED)
+        with pytest.raises(ValueError, match="received vector"):
+            mmse_detect(heff, np.zeros(shape), 0.1, qam_alphabet(4))
+
+    def test_rejects_negative_noise(self, rng):
+        heff = random_heff(4, rng)
+        with pytest.raises(ValueError, match="noise variance"):
+            mmse_detect(heff, np.zeros(4), -1e-3, qam_alphabet(4))
+
+    def test_singular_gram_named_as_mmse(self):
+        heff = EffectiveChannel(np.zeros((6, 4), dtype=complex), AFFINE)
+        with pytest.raises(ValueError, match="^mmse: 4x4 Gram"):
+            mmse_detect(heff, np.zeros(6), 0.0, qam_alphabet(4))
