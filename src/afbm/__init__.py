@@ -7,7 +7,7 @@ detectors, and `metrics` the SIR and BER figures of merit.  `cli` wraps
 the whole thing in reproducible YAML-driven experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .channel import (ChannelConfig, ChannelRealization, PathSpec,
                       add_awgn, apply_channel, channel_matrix,

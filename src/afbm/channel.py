@@ -142,6 +142,22 @@ def channel_matrix(c: ChannelRealization,
     return H
 
 
+def _path_twists(c: ChannelRealization,
+                 M: int) -> list[tuple[int, np.ndarray]]:
+    """Per path: the cyclic delay modulo M and the length-M twist.
+
+    The twist of a path is gain * exp(-j2pi m f / M) on output sample m,
+    the factor its shifted input is multiplied by.  Refuses a
+    realization annotated for another frame size.
+    """
+    if c.size is not None and c.size != M:
+        raise ValueError(f"realization is annotated for frames of "
+                         f"{c.size} samples, got {M}")
+    m = np.arange(M)
+    return [(p.delay % M, p.gain * np.exp(-2j * np.pi * m * p.doppler / M))
+            for p in c.paths]
+
+
 def apply_channel(c: ChannelRealization, s: np.ndarray) -> np.ndarray:
     """Apply the realization per path: shift, phase-twist, accumulate.
 
@@ -153,20 +169,13 @@ def apply_channel(c: ChannelRealization, s: np.ndarray) -> np.ndarray:
     if s.ndim == 0 or s.shape[0] == 0:
         raise ValueError("expected a non-empty vector or matrix of samples")
     M = s.shape[0]
-    if c.size is not None and c.size != M:
-        raise ValueError(f"realization is annotated for frames of "
-                         f"{c.size} samples, got {M}")
-    m = np.arange(M)
     out = np.zeros_like(s)
     term = np.empty_like(s)
-    for p in c.paths:
-        phase = np.exp(-2j * np.pi * m * p.doppler / M)
+    for d, twist in _path_twists(c, M):
         if s.ndim > 1:
-            phase = phase[:, None]
-        twist = p.gain * phase
+            twist = twist[:, None]
         # Cyclic shift by d without a rolled copy: rows [d, M) take
         # s[0, M-d), rows [0, d) wrap around from s[M-d, M).
-        d = p.delay % M
         np.multiply(twist[d:], s[:M - d], out=term[d:])
         np.multiply(twist[:d], s[M - d:], out=term[:d])
         out += term

@@ -21,8 +21,8 @@ Nothing is written when validation fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
-import io
 import json
 import os
 import sys
@@ -394,14 +394,32 @@ def run(spec: ExperimentSpec, override_orthogonality: bool = False,
         samples=tuple(samples), samples_header=samples_header)
 
 
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file beside ``path``, moved onto it
+    only once the block finishes.
+
+    A write that fails partway removes the temporary file and leaves
+    whatever was at ``path`` before untouched, so result files are
+    never half-written.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def _write_csv(path: str, report_header: str, header, rows):
-    buffer = io.StringIO()
-    buffer.write(report_header)
-    buffer.write(",".join(header) + "\n")
-    for row in rows:
-        buffer.write(",".join(_num(v) for v in row) + "\n")
-    with open(path, "w") as fh:
-        fh.write(buffer.getvalue())
+    with _atomic_open(path) as fh:
+        fh.write(report_header)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_num(v) for v in row) + "\n")
 
 
 def _write_heatmaps(spec: ExperimentSpec, out_dir: str, stamp: str):
@@ -423,7 +441,7 @@ def _write_heatmaps(spec: ExperimentSpec, out_dir: str, stamp: str):
             power = interference_map(deltas)
             path = os.path.join(
                 out_dir, f"heatmap-{family}-P{P}-{domain}.csv")
-            with open(path, "w") as fh:
+            with _atomic_open(path) as fh:
                 fh.write(stamp)
                 fh.write("row,col,power\n")
                 for i in range(power.shape[0]):
@@ -451,7 +469,7 @@ def write_report(spec: ExperimentSpec, report: ExperimentReport,
         written.append(samples_path)
 
     summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w") as fh:
+    with _atomic_open(summary_path) as fh:
         fh.write(f"afbm {report.version}\n")
         fh.write(f"experiment: {report.kind}\n")
         fh.write(f"spec hash:  {report.fingerprint}\n")

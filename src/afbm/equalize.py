@@ -11,7 +11,9 @@ equations for the one received vector and never forms the equalizer.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against; the SIR hot path is
-:func:`delta_from_gram`.
+:func:`delta_from_gram`.  The fast paths form the Gram Heff^H Heff
+through :func:`_gram` (one triangle, mirrored exactly Hermitian); the
+oracle keeps the plain product.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
-from .modem import AFFINE, FILTERED, EffectiveChannel
+from .modem import EffectiveChannel
 
 __all__ = [
     "DeltaMatrix",
@@ -54,6 +57,21 @@ class DeltaMatrix:
 
     matrix: np.ndarray
     domain: str
+
+
+def _gram(h: np.ndarray) -> np.ndarray:
+    """h^H h from one triangle, mirrored so the result is exactly Hermitian.
+
+    ``zherk`` fills one triangle of h^T conj(h), the conjugate (that is,
+    the transpose) of h^H h, reading a C-ordered h as its Fortran
+    transpose without a copy.  Transposing puts the filled triangle at
+    the bottom of h^H h, and the strict upper triangle is then copied
+    from it conjugated.
+    """
+    gram = scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T
+    upper = np.triu_indices(gram.shape[0], 1)
+    gram[upper] = gram.T[upper].conj()
+    return gram
 
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray, sigma2: float,
@@ -117,13 +135,7 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
 
 def conditioned_delta(modem, H, domain: str, sigma2: float) -> DeltaMatrix:
     """Build the domain's effective channel for H and return its Delta."""
-    if domain == AFFINE:
-        heff = modem.effective_channel_affine(H)
-    elif domain == FILTERED:
-        heff = modem.effective_channel_filtered(H)
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    gram = heff.matrix.conj().T @ heff.matrix
+    gram = _gram(modem.effective_channel(H, domain).matrix)
     return DeltaMatrix(delta_from_gram(gram, sigma2), domain)
 
 
@@ -163,6 +175,5 @@ def mmse_detect(heff: EffectiveChannel, received: np.ndarray,
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     received = _received_vector(received, Hm.shape[0])
-    Hh = Hm.conj().T
-    soft = _solve_spd(Hh @ Hm, Hh @ received, sigma2, "mmse")
+    soft = _solve_spd(_gram(Hm), Hm.conj().T @ received, sigma2, "mmse")
     return _nearest_symbols(soft, alphabet)

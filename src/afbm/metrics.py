@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import channel as _channel
-from .equalize import delta_from_gram, mmse_detect
+from .equalize import _gram, delta_from_gram, mmse_detect
 from .modem import AFFINE, FILTERED, AfbmModem, ModulationConfig, \
     qam_alphabet, qam_demap, qam_map
 
@@ -156,13 +156,7 @@ def sir_conditioned(delta) -> ConditionedSir:
 
 
 def _domain_gram(modem: AfbmModem, realization, domain: str) -> np.ndarray:
-    if domain == AFFINE:
-        heff = modem.effective_channel_affine(realization)
-    elif domain == FILTERED:
-        heff = modem.effective_channel_filtered(realization)
-    else:
-        raise ValueError(f"unknown domain {domain!r}")
-    return heff.matrix.conj().T @ heff.matrix
+    return _gram(modem.effective_channel(realization, domain).matrix)
 
 
 def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
@@ -296,12 +290,9 @@ def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     r = _channel.apply_channel(realization, s)
     r = _channel.add_awgn(r, sigma2, rng)
 
-    if domain == AFFINE:
-        heff = modem.effective_channel_affine(realization)
-        received = modem.matched_demodulate(r)
-    else:
-        heff = modem.effective_channel_filtered(realization)
-        received = modem.filtered_receive(r)
+    heff = modem.effective_channel(realization, domain)
+    received = (modem.matched_demodulate(r) if domain == AFFINE
+                else modem.filtered_receive(r))
     branch_noise = modem.received_noise_power(domain, sigma2)
     detected = mmse_detect(heff, received, branch_noise, alphabet)
     errors = int(np.sum(qam_demap(detected, order) != bits))

@@ -6,9 +6,16 @@ with a per-subcarrier gain compensation, synthesized on an N-point
 grid, and shaped by a half-period overlapped filter bank.  The matched
 receiver runs the adjoint of that composition.
 
-Two effective-channel views of a propagation matrix H are provided:
+Two effective-channel views of a propagation channel are provided:
 the affine domain (after the full matched receive chain) and the
-filtered time domain (after the receive filter bank only).
+filtered time domain (after the receive filter bank only).  A channel
+realization is applied symbol by symbol: each symbol's transmit block
+is propagated over its own support (its span plus the largest delay,
+wrapping cyclically) and projected onto the receive windows it
+overlaps, so the mostly-zero dense transmit matrix is never formed.  A
+dense frame-size-square matrix takes the dense oracle path instead,
+H applied to the modulation matrix S and projected by S^H or the
+filter bank.
 """
 
 from __future__ import annotations
@@ -386,45 +393,113 @@ class AfbmModem:
 
     # ------------------------------------------------------ effective channels
 
-    def _propagated(self, H) -> np.ndarray:
-        """H applied to every column of the modulation matrix."""
-        S = self.modulation_matrix()
-        if isinstance(H, np.ndarray):
-            if H.shape != (self.cfg.frame_size,) * 2:
-                raise ValueError(f"channel matrix must be "
-                                 f"{self.cfg.frame_size} square, "
-                                 f"got {H.shape}")
-            return H @ S
-        return _channel.apply_channel(H, S)
+    def _dense_propagated(self, H: np.ndarray) -> np.ndarray:
+        """Dense oracle: H applied to every column of the modulation matrix."""
+        if H.shape != (self.cfg.frame_size,) * 2:
+            raise ValueError(f"channel matrix must be "
+                             f"{self.cfg.frame_size} square, got {H.shape}")
+        return H @ self.modulation_matrix()
+
+    def _propagated_pieces(self, c: _channel.ChannelRealization):
+        """Each symbol's transmit block propagated through ``c``, cut at
+        the receive windows.
+
+        Symbol k occupies frame rows [k N/2, k N/2 + span).  A path
+        delays that support by d (mod M), so the symbol's response lies
+        on a strip of span + max d rows starting at k N/2, which wraps
+        cyclically past the frame end; a strip longer than the frame is
+        folded onto itself.  Inside a receive window the strip's rows
+        form at most two contiguous segments: the part before the frame
+        end and the part that wrapped onto the frame start.
+
+        Yields (k, j, lo, hi, piece): ``piece`` is the strip of symbol k
+        on rows [lo, hi) of receive window j, window-relative.
+        """
+        cfg = self.cfg
+        M, h = cfg.frame_size, cfg.N // 2
+        span, width = self._tx_block.shape
+        twists = _channel._path_twists(c, M)
+        length = span + max(d for d, _ in twists)
+        for k in range(cfg.K):
+            start = k * h
+            strip = np.zeros((length, width), dtype=complex)
+            for d, twist in twists:
+                rows = (start + d + np.arange(span)) % M
+                strip[d:d + span] += twist[rows, None] * self._tx_block
+            if length > M:
+                strip[:length - M] += strip[M:]
+                strip = strip[:M]
+            n = strip.shape[0]
+            # (first frame row, end row, first strip row) per segment.
+            segments = [(start, min(start + n, M), 0)]
+            if start + n > M:
+                segments.append((0, start + n - M, M - start))
+            for j in range(cfg.K):
+                w0 = j * h
+                for a, b, offset in segments:
+                    lo, hi = max(a, w0), min(b, w0 + span)
+                    if lo < hi:
+                        yield (k, j, lo - w0, hi - w0,
+                               strip[offset + lo - a:offset + hi - a])
 
     def effective_channel_affine(self, H) -> EffectiveChannel:
         """Payload-to-payload matrix seen by affine-domain detection.
 
-        ``H`` may be a dense frame_size-square matrix or a channel
-        realization (applied sparsely).  The result is the matched
-        receive chain composed with the propagated transmit chain,
-        restricted to payload coordinates on both sides.
+        ``H`` may be a dense frame_size-square matrix (the oracle,
+        H @ S projected by S^H) or a channel realization, propagated
+        symbol by symbol and projected window by window with the
+        per-symbol block's adjoint.  The result is the matched receive
+        chain composed with the propagated transmit chain, restricted to
+        payload coordinates on both sides.
         """
-        HS = self._propagated(H)
-        return EffectiveChannel(self.modulation_matrix().conj().T @ HS,
-                                AFFINE)
+        if isinstance(H, np.ndarray):
+            return EffectiveChannel(
+                self.modulation_matrix().conj().T @ self._dense_propagated(H),
+                AFFINE)
+        w = self._tx_block.shape[1]
+        adjoint = self._tx_block.conj().T
+        out = np.zeros((self.cfg.payload_size,) * 2, dtype=complex)
+        for k, j, lo, hi, piece in self._propagated_pieces(H):
+            out[j * w:(j + 1) * w, k * w:(k + 1) * w] += \
+                adjoint[:, lo:hi] @ piece
+        return EffectiveChannel(out, AFFINE)
 
     def effective_channel_filtered(self, H) -> EffectiveChannel:
         """Payload-to-filtered-grid matrix seen by filtered-domain detection.
 
         Rows live on the NK-point receive bank output; columns are the
         payload coordinates.  With an identity channel this matrix is
-        a near isometry.
+        a near isometry.  ``H`` is a dense matrix (the oracle) or a
+        channel realization, handled symbol by symbol as in
+        :meth:`effective_channel_affine`.
         """
-        HS = self._propagated(H)
         cfg = self.cfg
-        h = cfg.N // 2
         span = self._bank_single.shape[0]
-        out = np.empty((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
-        for k in range(cfg.K):
-            out[k * cfg.N:(k + 1) * cfg.N] = \
-                self._bank_single.T @ HS[k * h:k * h + span]
+        h = cfg.N // 2
+        out = np.zeros((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
+        bank_t = self._bank_single.T
+        if isinstance(H, np.ndarray):
+            HS = self._dense_propagated(H)
+            for k in range(cfg.K):
+                window = HS[k * h:k * h + span]
+                out[k * cfg.N:(k + 1) * cfg.N] = bank_t @ window
+            return EffectiveChannel(out, FILTERED)
+        # The bank is real, so it projects the interleaved real/imaginary
+        # float view of each strip with a real product.
+        flat = out.view(float)
+        w2 = 2 * self._tx_block.shape[1]
+        for k, j, lo, hi, piece in self._propagated_pieces(H):
+            flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2] += \
+                bank_t[:, lo:hi] @ piece.view(float)
         return EffectiveChannel(out, FILTERED)
+
+    def effective_channel(self, H, domain: str) -> EffectiveChannel:
+        """The effective channel of ``H`` in detection domain ``domain``."""
+        if domain == AFFINE:
+            return self.effective_channel_affine(H)
+        if domain == FILTERED:
+            return self.effective_channel_filtered(H)
+        raise ValueError(f"unknown domain {domain!r}")
 
 
 # ------------------------------------------------------------------- QAM maps

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from afbm import AfbmModem, design_config
+# One BLAS thread: the suite's matrices are small, and OpenBLAS's default
+# thread pool makes them many times slower on few-core machines.  Must
+# run before numpy is first imported; an explicit setting still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from afbm import AfbmModem, design_config  # noqa: E402
 
 _ACCEPTANCE_LINES: list[str] = []
 

@@ -1,11 +1,15 @@
+import os
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afbm.cli import (PRESETS, main, parse_spec, run, serialize_spec,
-                      spec_fingerprint, validate, write_report)
+from afbm import cli
+from afbm.cli import (PRESETS, ExperimentReport, main, parse_spec, run,
+                      serialize_spec, spec_fingerprint, validate,
+                      write_report)
 
 SMALL_SIR = """
 kind: sir-channel
@@ -243,6 +247,96 @@ class TestMainAndOutputs:
         assert len(maps) == 2
         header = open(maps[0]).read().splitlines()[1]
         assert header == "row,col,power"
+
+
+class _Unprintable:
+    """A CSV cell whose formatting fails, to break a write partway."""
+
+    def __str__(self):
+        raise RuntimeError("write failed partway")
+
+
+class _UnformattableFloat(float):
+    """Passes the CSV writer (repr of the float) but fails the summary's
+    fixed-point formatting."""
+
+    def __format__(self, spec):
+        raise RuntimeError("write failed partway")
+
+
+class TestAtomicWrites:
+
+    HEADER = ("filter", "P", "domain", "snr_db", "bit_errors",
+              "bits_total", "ber")
+
+    def report(self, bad_row=None, bad_value=None):
+        rows = [("hermite", 48, "affine", float(snr), 3, 100, 0.03)
+                for snr in range(4)]
+        if bad_row is not None:
+            rows[bad_row] = rows[bad_row][:-1] + (bad_value,)
+        return ExperimentReport(
+            fingerprint="0123456789ab", version="test", kind="ber",
+            elapsed_s=0.0, rows=tuple(rows), header=self.HEADER)
+
+    @staticmethod
+    def listing(out):
+        return sorted(os.listdir(out))
+
+    @pytest.mark.parametrize("bad_row", [0, 2, 3])
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_csv_leaves_no_partial_file(self, tmp_path, bad_row,
+                                               existing):
+        spec = parse_spec(SMALL_BER)
+        out = tmp_path / "res"
+        out.mkdir()
+        final = out / "ber-0123456789ab.csv"
+        if existing:
+            final.write_text("previous result\n")
+        with pytest.raises(RuntimeError, match="partway"):
+            write_report(spec, self.report(bad_row, _Unprintable()),
+                         str(out))
+        if existing:
+            assert final.read_text() == "previous result\n"
+            assert self.listing(out) == [final.name]
+        else:
+            assert self.listing(out) == []
+
+    def test_failed_summary_keeps_previous_summary(self, tmp_path):
+        spec = parse_spec(SMALL_BER)
+        out = tmp_path / "res"
+        out.mkdir()
+        (out / "summary.txt").write_text("previous summary\n")
+        with pytest.raises(RuntimeError, match="partway"):
+            write_report(spec, self.report(1, _UnformattableFloat(0.5)),
+                         str(out))
+        assert (out / "summary.txt").read_text() == "previous summary\n"
+        # The CSV before it completed and was moved into place whole.
+        assert self.listing(out) == ["ber-0123456789ab.csv", "summary.txt"]
+        body = (out / "ber-0123456789ab.csv").read_text().splitlines()
+        assert len(body) == 2 + 4
+
+    def test_failed_heatmap_leaves_no_partial_file(self, tmp_path,
+                                                   monkeypatch):
+        text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
+            .replace("realizations: 3", "realizations: 1") \
+            .replace("domains: [affine, filtered]", "domains: [affine]") \
+            + "emit_heatmap: true\n"
+        spec = parse_spec(text)
+        assert spec.domains == ("affine",) and spec.emit_heatmap
+        report = run(spec, workers=1)
+
+        def broken_map(deltas):
+            power = np.abs(np.asarray(list(deltas)[0])).astype(object)
+            power[power.shape[0] // 2, 0] = _Unprintable()
+            return power
+
+        monkeypatch.setattr(cli, "interference_map", broken_map)
+        out = tmp_path / "h"
+        with pytest.raises(RuntimeError, match="partway"):
+            write_report(spec, report, str(out))
+        names = self.listing(out)
+        assert not [n for n in names if n.startswith("heatmap")]
+        assert not [n for n in names if n.endswith(".tmp")]
 
 
 class TestPresets:

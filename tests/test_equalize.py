@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from afbm.channel import (add_awgn, apply_channel, channel_matrix,
                           sample_channel, trial_stream)
-from afbm.equalize import (DeltaMatrix, conditioned_delta, delta_from_gram,
-                           delta_matrix, equalize_and_detect, mmse,
-                           mmse_detect)
+from afbm.equalize import (DeltaMatrix, _gram, conditioned_delta,
+                           delta_from_gram, delta_matrix, equalize_and_detect,
+                           mmse, mmse_detect)
 from afbm.modem import AFFINE, FILTERED, EffectiveChannel, qam_alphabet
 
 
@@ -89,6 +89,33 @@ class TestDelta:
     def test_identity_gram_zero_noise(self):
         delta = delta_from_gram(np.eye(5, dtype=complex), 0.0)
         assert np.abs(delta - np.eye(5)).max() < 1e-9
+
+
+class TestGram:
+
+    @given(st.integers(1, 40), st.integers(1, 24), st.integers(0, 2 ** 16),
+           st.sampled_from([1e-8, 1.0, 1e6]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_product_and_is_exactly_hermitian(self, rows, cols,
+                                                      seed, scale):
+        rng = np.random.default_rng(seed)
+        h = scale * (rng.standard_normal((rows, cols))
+                     + 1j * rng.standard_normal((rows, cols)))
+        got = _gram(h)
+        want = h.conj().T @ h
+        assert got.shape == (cols, cols)
+        bound = 4 * rows * np.finfo(float).eps * np.linalg.norm(h) ** 2
+        assert np.abs(got - want).max() <= bound
+        assert np.array_equal(got, got.conj().T)
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    def test_effective_channel_grams(self, mid_hermite, domain):
+        ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
+                            size=mid_hermite.cfg.frame_size)
+        h = mid_hermite.effective_channel(ch, domain).matrix
+        got, want = _gram(h), h.conj().T @ h
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(got, got.conj().T)
 
 
 class TestConditionedDelta:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afbm.channel import channel_matrix, sample_channel, trial_stream
+from afbm.channel import (ChannelRealization, PathSpec, channel_matrix,
+                          sample_channel, trial_stream)
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                         active_indices, design_config, mapping_matrix,
                         qam_alphabet, qam_demap, qam_map)
@@ -173,6 +174,82 @@ class TestEffectiveChannels:
     def test_rejects_wrong_frame(self, toy_modem):
         with pytest.raises(ValueError):
             toy_modem.effective_channel_affine(np.eye(31))
+
+    def test_dispatch_by_domain(self, toy_modem):
+        ch = sample_channel(2, 4, 0.5, trial_stream(3, 1), size=32)
+        for domain, build in ((AFFINE, toy_modem.effective_channel_affine),
+                              (FILTERED,
+                               toy_modem.effective_channel_filtered)):
+            heff = toy_modem.effective_channel(ch, domain)
+            assert heff.domain == domain
+            assert np.array_equal(heff.matrix, build(ch).matrix)
+        with pytest.raises(ValueError, match="unknown domain"):
+            toy_modem.effective_channel(ch, "delay")
+
+
+DOPPLER_MAX = 2.0
+
+
+@pytest.fixture(scope="module")
+def oracle_modems(toy_modem, mid_hermite, mid_phydyas):
+    """Both families at toy and mid scale."""
+    return (toy_modem, AfbmModem(design_config(8, 2, 16, 12, "phydyas")),
+            mid_hermite, mid_phydyas)
+
+
+@st.composite
+def realizations(draw, M, N):
+    """1-3 paths whose delays hit 0, at least N/2, M-1 and at least M,
+    with Dopplers at and inside +-DOPPLER_MAX."""
+    delay = st.one_of(st.just(0), st.integers(N // 2, M - 1), st.just(M - 1),
+                      st.integers(M, 3 * M))
+    delays = draw(st.lists(delay, min_size=1, max_size=3, unique=True))
+    doppler = st.one_of(st.sampled_from((-DOPPLER_MAX, DOPPLER_MAX)),
+                        st.floats(-DOPPLER_MAX, DOPPLER_MAX))
+    gain = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
+    paths = tuple(PathSpec(draw(gain), d, draw(doppler)) for d in delays)
+    return ChannelRealization(paths, size=draw(st.sampled_from((M, None))))
+
+
+class TestBlockPath:
+    """The per-symbol path for realizations against the dense oracle:
+    ``modulation_matrix()`` / ``filter_matrix()`` around
+    ``channel_matrix``."""
+
+    @staticmethod
+    def dense(modem, H, domain):
+        if domain == AFFINE:
+            front = modem.modulation_matrix().conj().T
+        else:
+            front = modem.filter_matrix().T
+        return front @ H @ modem.modulation_matrix()
+
+    @given(data=st.data(), which=st.integers(0, 3),
+           domain=st.sampled_from((AFFINE, FILTERED)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, oracle_modems, data, which, domain):
+        modem = oracle_modems[which]
+        M = modem.cfg.frame_size
+        ch = data.draw(realizations(M, modem.cfg.N))
+        got = modem.effective_channel(ch, domain)
+        want = self.dense(modem, channel_matrix(ch, size=M), domain)
+        assert got.domain == domain
+        assert got.matrix.shape == want.shape
+        # Entries are bounded by the summed path gains (unit-norm
+        # transmit columns, receive columns of norm at most one).
+        scale = sum(abs(p.gain) for p in ch.paths)
+        assert np.abs(got.matrix - want).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    def test_rejects_realization_for_other_frame(self, oracle_modems,
+                                                 domain):
+        for modem in oracle_modems:
+            M = modem.cfg.frame_size
+            for size in (M - 1, M + 1):
+                ch = sample_channel(2, 4, 0.5, trial_stream(9, 0), size=size)
+                with pytest.raises(ValueError,
+                                   match=f"annotated for frames of {size}"):
+                    modem.effective_channel(ch, domain)
 
 
 class TestQam:
