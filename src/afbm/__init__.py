@@ -7,7 +7,7 @@ detectors, and `metrics` the SIR and BER figures of merit.  `cli` wraps
 the whole thing in reproducible YAML-driven experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .channel import (ChannelConfig, ChannelRealization, PathSpec,
                       add_awgn, apply_channel, channel_matrix,
@@ -20,23 +20,22 @@ from .filters import (PrototypeFilter, custom_prototype, hermite_prototype,
 from .metrics import (BerPoint, ConditionedSir, SirStatistics, WaveformSir,
                       ber_curve, interference_map, sir_conditioned,
                       sir_statistics, sir_waveform)
-from .modem import (AFFINE, FILTERED, AfbmModem, CompensationVector,
-                    EffectiveChannel, ModulationConfig, design_config,
-                    qam_alphabet, qam_demap, qam_map)
+from .modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
+                    ModulationConfig, design_config, qam_alphabet,
+                    qam_demap, qam_map)
 from .transforms import (ChirpParams, daft_matrix, default_c1, default_c2,
                          dft_matrix, pruned_daft, synthesis_block)
 
 __all__ = [
     "AFFINE", "FILTERED", "AfbmModem", "BerPoint", "ChannelConfig",
-    "ChannelRealization", "ChirpParams", "CompensationVector",
-    "ConditionedSir", "DeltaMatrix", "EffectiveChannel", "Equalizer",
-    "ModulationConfig", "PathSpec", "PrototypeFilter", "SirStatistics",
-    "WaveformSir", "add_awgn", "apply_channel", "ber_curve",
-    "channel_matrix", "conditioned_delta", "custom_prototype",
-    "daft_matrix", "default_c1", "default_c2", "delta_from_gram",
-    "delta_matrix", "design_config", "dft_matrix", "equalize_and_detect",
-    "hermite_prototype", "interference_map", "mmse", "phydyas_prototype",
-    "pruned_daft", "qam_alphabet", "qam_demap", "qam_map", "sample_channel",
-    "sir_conditioned", "sir_statistics", "sir_waveform", "synthesis_block",
-    "trial_stream",
+    "ChannelRealization", "ChirpParams", "ConditionedSir", "DeltaMatrix",
+    "EffectiveChannel", "Equalizer", "ModulationConfig", "PathSpec",
+    "PrototypeFilter", "SirStatistics", "WaveformSir", "add_awgn",
+    "apply_channel", "ber_curve", "channel_matrix", "conditioned_delta",
+    "custom_prototype", "daft_matrix", "default_c1", "default_c2",
+    "delta_from_gram", "delta_matrix", "design_config", "dft_matrix",
+    "equalize_and_detect", "hermite_prototype", "interference_map", "mmse",
+    "phydyas_prototype", "pruned_daft", "qam_alphabet", "qam_demap",
+    "qam_map", "sample_channel", "sir_conditioned", "sir_statistics",
+    "sir_waveform", "synthesis_block", "trial_stream",
 ]

@@ -36,7 +36,8 @@ from .channel import ChannelConfig, sample_channel, trial_stream
 from .equalize import conditioned_delta
 from .metrics import (ber_curve, interference_map, sir_statistics,
                       sir_waveform)
-from .modem import AFFINE, FILTERED, AfbmModem, design_config
+from .modem import (AFFINE, FILTERED, AfbmModem, design_config,
+                    qam_alphabet)
 from .transforms import check_daft_orthogonality_condition
 
 __all__ = [
@@ -255,8 +256,15 @@ def validate(spec: ExperimentSpec) -> list[str]:
         out.append(f"averaging must be 'linear' or 'db', "
                    f"got {spec.averaging!r}")
     for dom, value in spec.sigma2:
+        if dom not in (AFFINE, FILTERED):
+            out.append(f"unknown sigma2 domain {dom!r}; expected "
+                       f"{AFFINE!r} or {FILTERED!r}")
         if value < 0:
             out.append(f"sigma2[{dom}] must be >= 0, got {value}")
+    if spec.kind == "sir-channel":
+        missing = [d for d in spec.domains if d not in dict(spec.sigma2)]
+        if missing:
+            out.append(f"sigma2 has no value for domain(s) {missing}")
     if spec.kind == "sir-channel" and spec.realizations < 1:
         out.append(f"realizations must be >= 1, got {spec.realizations}")
     if spec.kind == "ber":
@@ -267,6 +275,10 @@ def validate(spec: ExperimentSpec) -> list[str]:
         if spec.min_bit_errors < 1:
             out.append(f"min_bit_errors must be >= 1, "
                        f"got {spec.min_bit_errors}")
+        try:
+            qam_alphabet(spec.qam_order)
+        except ValueError as err:
+            out.append(f"qam_order: {err}")
     try:
         spec.channel_config()
     except ValueError as err:

@@ -18,7 +18,6 @@ __all__ = [
     "PrototypeFilter",
     "block_toeplitz",
     "custom_prototype",
-    "filter_blocks",
     "hermite_prototype",
     "phydyas_prototype",
     "single_symbol_matrix",
@@ -169,17 +168,6 @@ def custom_prototype(taps, N: int, overlap: float) -> PrototypeFilter:
     """Wrap externally designed taps; they are normalized to unit energy."""
     return PrototypeFilter(_normalized(np.asarray(taps, dtype=float)),
                            overlap, N, family="custom")
-
-
-def filter_blocks(f: PrototypeFilter) -> list[np.ndarray]:
-    """The 2O diagonal half-period blocks G_p.
-
-    Block p is the N/2 x N/2 diagonal matrix holding taps
-    [pN/2, pN/2 + N/2).  Concatenating the diagonals reproduces the tap
-    vector exactly.
-    """
-    h = f.fft_size // 2
-    return [np.diag(f.taps[p * h:(p + 1) * h]) for p in range(f.n_blocks)]
 
 
 def single_symbol_matrix(f: PrototypeFilter) -> np.ndarray:

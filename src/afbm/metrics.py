@@ -17,8 +17,6 @@ plain form degenerates.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,7 +77,6 @@ class SirStatistics:
     maximum_db: float
     minimum_db: float
     realizations: int
-    fingerprint: str
     averaging: str
     substituted: int
     samples_db: tuple[float, ...]
@@ -96,22 +93,6 @@ class BerPoint:
     @property
     def ber(self) -> float:
         return self.bit_errors / self.bits_total
-
-
-def _fingerprint(payload: dict) -> str:
-    """Stable 12-hex digest of a canonically serialized parameter dict."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                       default=repr)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _config_payload(cfg: ModulationConfig) -> dict:
-    return {
-        "L": cfg.L, "K": cfg.K, "N": cfg.N, "P": cfg.P,
-        "overlap": cfg.overlap, "filter_family": cfg.filter_family,
-        "c1_L": cfg.c1_L, "c2_L": cfg.c2_L,
-        "c1_P": cfg.c1_P, "c2_P": cfg.c2_P, "xi": cfg.xi,
-    }
 
 
 # ----------------------------------------------------------------- SIR values
@@ -237,19 +218,11 @@ def sir_statistics(modem: AfbmModem, chan: _channel.ChannelConfig,
         average = 10.0 * np.log10(np.mean(10.0 ** (samples / 10.0)))
     else:
         average = float(np.mean(samples))
-    fingerprint = _fingerprint({
-        "kind": "sir-channel", "config": _config_payload(modem.cfg),
-        "paths": chan.n_paths, "delay_max": chan.delay_max,
-        "doppler_max": chan.doppler_max, "domain": domain,
-        "realizations": n_realizations, "seed": seed, "sigma2": sigma2,
-        "averaging": averaging,
-    })
     return SirStatistics(
         average_db=float(average),
         maximum_db=float(np.max(samples)),
         minimum_db=float(np.min(samples)),
         realizations=n_realizations,
-        fingerprint=fingerprint,
         averaging=averaging,
         substituted=sum(c.substituted for c in conditioned),
         samples_db=tuple(float(s) for s in samples),

@@ -6,16 +6,23 @@ with a per-subcarrier gain compensation, synthesized on an N-point
 grid, and shaped by a half-period overlapped filter bank.  The matched
 receiver runs the adjoint of that composition.
 
+The modem holds the filter bank as its gained taps only.  Row r of
+the single-symbol bank matrix carries taps[r] in column r mod N and
+nothing else, so the receive bank is a tap weighting followed by a
+fold of the window onto the N-point grid (:meth:`AfbmModem._fold`);
+the dense bank matrix is built only for the oracle paths.
+
 Two effective-channel views of a propagation channel are provided:
 the affine domain (after the full matched receive chain) and the
 filtered time domain (after the receive filter bank only).  A channel
 realization is applied symbol by symbol: each symbol's transmit block
 is propagated over its own support (its span plus the largest delay,
 wrapping cyclically) and projected onto the receive windows it
-overlaps, so the mostly-zero dense transmit matrix is never formed.  A
-dense frame-size-square matrix takes the dense oracle path instead,
-H applied to the modulation matrix S and projected by S^H or the
-filter bank.
+overlaps, so the mostly-zero dense transmit matrix is never formed.
+The affine projection is the transmit block's adjoint; the filtered
+one weights by the taps and folds.  A dense frame-size-square matrix
+takes the dense oracle path instead, H applied to the modulation
+matrix S and projected by S^H or the dense filter bank.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ __all__ = [
     "AFFINE",
     "FILTERED",
     "AfbmModem",
-    "CompensationVector",
     "EffectiveChannel",
     "ModulationConfig",
     "active_indices",
@@ -152,20 +158,6 @@ def design_config(L: int, K: int, N: int, P: int,
 
 
 @dataclass(frozen=True, eq=False)
-class CompensationVector:
-    """Per-subcarrier gain restoring orthogonality through the bank.
-
-    ``entries`` is the length-L gain vector: 1/sqrt(gram_diag) on the
-    active edge subcarriers and exactly zero on the guard band.
-    ``gram_diag`` is the real diagonal of the synthesis-bank Gram the
-    gains are computed from.
-    """
-
-    entries: np.ndarray
-    gram_diag: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class EffectiveChannel:
     """Dense end-to-end channel matrix in a declared detection domain."""
 
@@ -238,41 +230,50 @@ class AfbmModem:
         self.cfg = cfg
         self.prototype = prototype
         self._bank_gain = np.sqrt(cfg.N / 2)
+        # The bank as taps: row r of the single-symbol bank matrix holds
+        # taps[r] in column r mod N and nothing else.
+        self._taps = self._bank_gain * prototype.taps
+        # Column energies of the bank, one fold of the squared taps.
+        self._bank_energy = self._fold(self._taps ** 2)
 
         self._w_L = daft_matrix(ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
         self._synthesis = synthesis_block(cfg)
-        gt = single_symbol_matrix(prototype)
-        self._bank_single = self._bank_gain * gt
-        # Diagonal of the scaled bank Gram; exact because each bank row
-        # touches one column.
-        bank_diag = np.sum(self._bank_single ** 2, axis=0)
-
         composed = self._synthesis @ self._w_L
-        gram_diag = bank_diag @ (np.abs(composed) ** 2)
-        self._gram_diag = gram_diag
+        gram_diag = self._bank_energy @ (np.abs(composed) ** 2)
         act = active_indices(cfg.L)
         if np.any(gram_diag[act] <= 0):
             raise ValueError("bank Gram vanishes on an active subcarrier")
         comp = np.zeros(cfg.L)
         comp[act] = 1.0 / np.sqrt(gram_diag[act])
         self._comp = comp
-        self._active = act
 
         # Per-symbol transmit block: bank o synthesis o precoder,
         # restricted to the active columns.  Columns are unit norm.
-        self._tx_block = self._bank_single @ (composed * comp[None, :])[:, act]
+        spread = (composed * comp[None, :])[:, act]
+        self._tx_block = self._taps[:, None] * \
+            spread[np.arange(self._taps.size) % cfg.N]
         self._modulation_matrix: np.ndarray | None = None
         self._filter_matrix: np.ndarray | None = None
 
+    def _fold(self, values: np.ndarray, lo: int = 0,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Add bank rows lo, lo+1, ... of ``values`` onto rows taken mod N.
+
+        This is the transposed bank's action on values already weighted
+        by their taps: every window row lands on one grid row, in at
+        most ceil(rows/N) + 1 contiguous chunks.
+        """
+        N = self.cfg.N
+        if out is None:
+            out = np.zeros((N,) + values.shape[1:], dtype=values.dtype)
+        a, hi = lo, lo + values.shape[0]
+        while a < hi:
+            b = min(hi, (a // N + 1) * N)
+            out[a % N:a % N + b - a] += values[a - lo:b - lo]
+            a = b
+        return out
+
     # ------------------------------------------------------------ chain parts
-
-    def gram_diagonal(self) -> np.ndarray:
-        """Real diagonal of the composed synthesis-bank Gram, length L."""
-        return self._gram_diag.copy()
-
-    def compensation_vector(self) -> CompensationVector:
-        return CompensationVector(entries=self._comp.copy(),
-                                  gram_diag=self._gram_diag.copy())
 
     def precoder(self) -> np.ndarray:
         """L x L precoding matrix: chirped transform times the gain vector.
@@ -330,12 +331,10 @@ class AfbmModem:
             raise ValueError(f"frame must have shape ({cfg.frame_size},), "
                              f"got {r.shape}")
         h = cfg.N // 2
-        span = self._bank_single.shape[0]
-        out = np.empty(cfg.N * cfg.K, dtype=complex)
-        for k in range(cfg.K):
-            out[k * cfg.N:(k + 1) * cfg.N] = \
-                self._bank_single.T @ r[k * h:k * h + span]
-        return out
+        span = self._taps.size
+        windows = np.stack([r[k * h:k * h + span] for k in range(cfg.K)],
+                           axis=1)
+        return self._fold(self._taps[:, None] * windows).T.reshape(-1)
 
     def received_noise_power(self, domain: str, sigma2: float) -> float:
         """Per-branch noise variance after the receive front end.
@@ -361,12 +360,12 @@ class AfbmModem:
         if sigma2 < 0:
             raise ValueError("noise power must be nonnegative")
         if domain == AFFINE:
-            front = self._tx_block
+            energy = np.sum(np.abs(self._tx_block) ** 2, axis=0)
         elif domain == FILTERED:
-            front = self._bank_single
+            energy = self._bank_energy
         else:
             raise ValueError(f"unknown domain {domain!r}")
-        return float(sigma2 * np.mean(np.sum(np.abs(front) ** 2, axis=0)))
+        return float(sigma2 * np.mean(energy))
 
     # ---------------------------------------------------------- dense oracles
 
@@ -474,23 +473,25 @@ class AfbmModem:
         :meth:`effective_channel_affine`.
         """
         cfg = self.cfg
-        span = self._bank_single.shape[0]
-        h = cfg.N // 2
-        out = np.zeros((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
-        bank_t = self._bank_single.T
+        shape = (cfg.N * cfg.K, cfg.payload_size)
         if isinstance(H, np.ndarray):
             HS = self._dense_propagated(H)
+            bank_t = (self._bank_gain
+                      * single_symbol_matrix(self.prototype)).T
+            span, h = bank_t.shape[1], cfg.N // 2
+            out = np.empty(shape, dtype=complex)
             for k in range(cfg.K):
                 window = HS[k * h:k * h + span]
                 out[k * cfg.N:(k + 1) * cfg.N] = bank_t @ window
             return EffectiveChannel(out, FILTERED)
-        # The bank is real, so it projects the interleaved real/imaginary
-        # float view of each strip with a real product.
+        # The taps are real, so they weight the interleaved real/imaginary
+        # float view of each strip, which then folds onto the window grid.
+        out = np.zeros(shape, dtype=complex)
         flat = out.view(float)
         w2 = 2 * self._tx_block.shape[1]
         for k, j, lo, hi, piece in self._propagated_pieces(H):
-            flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2] += \
-                bank_t[:, lo:hi] @ piece.view(float)
+            self._fold(self._taps[lo:hi, None] * piece.view(float), lo,
+                       flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2])
         return EffectiveChannel(out, FILTERED)
 
     def effective_channel(self, H, domain: str) -> EffectiveChannel:
@@ -521,9 +522,10 @@ def _gray_levels(bits_per_axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _qam_params(order: int) -> tuple[int, float]:
-    bits = int(round(np.log2(order)))
-    if 1 << bits != order or bits % 2:
-        raise ValueError(f"order must be an even power of 2, got {order}")
+    bits = int(order).bit_length() - 1
+    if order < 4 or 1 << bits != order or bits % 2:
+        raise ValueError(f"order must be an even power of 2 (4, 16, 64, "
+                         f"...), got {order}")
     # Mean symbol energy of the unnormalized square constellation.
     m = 1 << (bits // 2)
     energy = 2.0 * (m * m - 1) / 3.0

@@ -47,6 +47,13 @@ def mid_phydyas():
     return AfbmModem(design_config(64, 8, 128, 96, "phydyas"))
 
 
+@pytest.fixture(scope="session")
+def oracle_modems(toy_modem, mid_hermite, mid_phydyas):
+    """Both families at toy and mid scale."""
+    return (toy_modem, AfbmModem(design_config(8, 2, 16, 12, "phydyas")),
+            mid_hermite, mid_phydyas)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -126,6 +126,45 @@ class TestValidate:
         bad = parse_spec(SMALL_BER.replace("snr_db: [6, 12]", "snr_db: []"))
         assert any("snr_db" in v for v in validate(bad))
 
+    def test_sigma2_missing_a_domain_refused_before_compute(self):
+        bad = parse_spec(SMALL_SIR.replace(
+            "sigma2: {affine: 3.0e-3, filtered: 3.0e-4}",
+            "sigma2: {affine: 3.0e-3}"))
+        assert "sigma2 has no value for domain(s) ['filtered']" in \
+            validate(bad)
+        with pytest.raises(ValueError, match="no value for domain"):
+            run(bad, workers=1)
+
+    def test_sigma2_unknown_domain_key_refused_before_compute(self):
+        bad = parse_spec(SMALL_SIR.replace("filtered: 3.0e-4",
+                                           "filtred: 3.0e-4"))
+        problems = validate(bad)
+        assert "unknown sigma2 domain 'filtred'; expected 'affine' or " \
+            "'filtered'" in problems
+        assert "sigma2 has no value for domain(s) ['filtered']" in problems
+        with pytest.raises(ValueError, match="filtred"):
+            run(bad, workers=1)
+
+    def test_sigma2_only_needs_the_selected_domains(self):
+        spec = parse_spec(SMALL_SIR.replace(
+            "sigma2: {affine: 3.0e-3, filtered: 3.0e-4}",
+            "sigma2: {affine: 3.0e-3}").replace("[affine, filtered]",
+                                                "[affine]"))
+        assert validate(spec) == []
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 8, 32, 48, -4])
+    def test_ber_qam_order_refused_before_compute(self, order):
+        bad = parse_spec(SMALL_BER + f"qam_order: {order}\n")
+        hits = [v for v in validate(bad) if v.startswith("qam_order")]
+        assert hits == [f"qam_order: order must be an even power of 2 "
+                        f"(4, 16, 64, ...), got {order}"]
+        with pytest.raises(ValueError, match="qam_order"):
+            run(bad, workers=1)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_ber_square_qam_orders_accepted(self, order):
+        assert validate(parse_spec(SMALL_BER + f"qam_order: {order}\n")) == []
+
 
 class TestRun:
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -89,6 +90,104 @@ class TestDelta:
     def test_identity_gram_zero_noise(self):
         delta = delta_from_gram(np.eye(5, dtype=complex), 0.0)
         assert np.abs(delta - np.eye(5)).max() < 1e-9
+
+
+EPS = np.finfo(float).eps
+
+
+def _kappa(gram, r):
+    eig = np.linalg.eigvalsh(gram + r * np.eye(gram.shape[0]))
+    return eig[-1] / eig[0]
+
+
+def _zero_forcing_ridge(gram):
+    return 1e-10 * np.trace(gram).real / gram.shape[0]
+
+
+class TestDeltaFromInverse:
+    """delta_from_gram reads Delta = I - r (G + r I)^-1 from one Cholesky
+    inverse; these pin it to the dense oracle and to a spectral one."""
+
+    @given(which=st.integers(0, 3), seed=st.integers(0, 2 ** 16),
+           domain=st.sampled_from((AFFINE, FILTERED)),
+           sigma2=st.sampled_from((10.0 ** -3.4, 10.0 ** -1.6, 0.3)))
+    @settings(max_examples=24, deadline=None)
+    def test_matches_mmse_and_delta_matrix(self, oracle_modems, which, seed,
+                                           domain, sigma2):
+        modem = oracle_modems[which]
+        M = modem.cfg.frame_size
+        ch = sample_channel(3, min(16, M - 1), 2.0, trial_stream(seed, 0),
+                            size=M)
+        heff = modem.effective_channel(ch, domain)
+        want = delta_matrix(mmse(heff, sigma2), heff).matrix
+        gram = _gram(heff.matrix)
+        got = delta_from_gram(gram, sigma2)
+        n = gram.shape[0]
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, sigma2)
+
+    @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 48),
+           smallest=st.sampled_from((0.0, 1e-15, 1e-12, 1e-8)),
+           sigma2=st.sampled_from((0.0, 1e-9, 1e-6, 1e-2)))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_eigh_reference_on_ill_conditioned_grams(
+            self, seed, n, smallest, sigma2):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        lam = np.geomspace(1.0, max(smallest, 1e-16), n)
+        if smallest == 0.0:
+            lam[n // 2:] = 0.0
+        gram = (q * lam) @ q.conj().T
+        gram = 0.5 * (gram + gram.conj().T)
+        r = sigma2 if sigma2 > 0 else _zero_forcing_ridge(gram)
+        lam, vec = np.linalg.eigh(gram)
+        want = (vec * (lam / (lam + r))) @ vec.conj().T
+        got = delta_from_gram(gram, sigma2)
+        assert np.array_equal(got, got.conj().T)
+        assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, r)
+
+    @pytest.fixture
+    def factorizations(self, monkeypatch):
+        """Shapes of the matrices handed to zpotrf."""
+        calls = []
+        factor = scipy.linalg.lapack.zpotrf
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", counting)
+        return calls
+
+    @pytest.mark.parametrize("gram", [
+        np.eye(6, dtype=complex),
+        np.ones((6, 6), dtype=complex),                    # rank one
+        np.diag([1.0, 1.0, 1e-18, 0.0, 1.0, 2.0]).astype(complex),
+    ], ids=["identity", "rank-one", "near-singular"])
+    def test_zero_noise_is_one_factorization_with_the_ridge(
+            self, factorizations, gram):
+        got = delta_from_gram(gram, 0.0)
+        assert factorizations == [gram.shape]
+        r = _zero_forcing_ridge(gram)
+        want = np.eye(6) - r * np.linalg.inv(gram + r * np.eye(6))
+        assert np.abs(got - want).max() <= 1e-9
+
+    def test_zero_noise_mid_scale_grams_factor_once(self, factorizations,
+                                                    mid_hermite):
+        ch = sample_channel(3, 16, 2.0, trial_stream(20250819, 0),
+                            size=mid_hermite.cfg.frame_size)
+        for domain in (AFFINE, FILTERED):
+            conditioned_delta(mid_hermite, ch, domain, 0.0)
+        assert factorizations == [(256, 256)] * 2
+
+    @pytest.mark.parametrize("sigma2,r", [(0.0, "-1e-10"), (0.5, "0.5")])
+    def test_failed_factorization_names_dimension_and_ridge(self, sigma2, r):
+        with pytest.raises(ValueError) as err:
+            delta_from_gram(-np.eye(5, dtype=complex), sigma2)
+        message = str(err.value)
+        assert message.startswith("delta_from_gram: 5x5 Gram matrix")
+        assert f"r={r} " in message
 
 
 class TestGram:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from afbm.filters import (PrototypeFilter, block_toeplitz, custom_prototype,
-                          filter_blocks, hermite_prototype, phydyas_prototype,
+                          hermite_prototype, phydyas_prototype,
                           single_symbol_matrix)
 
 
@@ -94,11 +94,15 @@ class TestSingleSymbolMatrix:
         assert not G[8:16, :8].any()    # block 1 on the right
         assert not G[16:, 8:].any()     # block 2 back on the left
 
-    def test_blocks_match_taps(self):
-        f = hermite_prototype(16)
-        blocks = filter_blocks(f)
-        assert len(blocks) == 3
-        assert np.array_equal(np.diag(blocks[1]), f.taps[8:16])
+    @pytest.mark.parametrize("make", [hermite_prototype, phydyas_prototype])
+    def test_each_row_holds_its_tap_in_column_r_mod_n(self, make):
+        # the structure the modem's tap fold relies on
+        f = make(16)
+        G = single_symbol_matrix(f)
+        rows = np.arange(f.taps.size)
+        expected = np.zeros_like(G)
+        expected[rows, rows % 16] = f.taps
+        assert np.array_equal(G, expected)
 
 
 class TestBlockToeplitz:

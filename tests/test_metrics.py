@@ -114,13 +114,6 @@ class TestSirStatistics:
             sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 2, 0,
                            averaging="median")
 
-    def test_fingerprint_tracks_inputs(self, small_modem):
-        a = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 2, 0,
-                           sigma2=1e-3)
-        b = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 2, 0,
-                           sigma2=2e-3)
-        assert a.fingerprint != b.fingerprint
-
 
 class TestInterferenceMap:
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from afbm.channel import (ChannelRealization, PathSpec, channel_matrix,
                           sample_channel, trial_stream)
+from afbm.filters import single_symbol_matrix
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                         active_indices, design_config, mapping_matrix,
                         qam_alphabet, qam_demap, qam_map)
@@ -62,12 +63,6 @@ class TestModemStructure:
             norms = np.linalg.norm(S, axis=0)
             assert np.abs(norms - 1).max() < 1e-8
 
-    def test_compensation_matches_gram_diagonal(self, mid_hermite):
-        comp = mid_hermite.compensation_vector()
-        act = active_indices(64)
-        assert np.allclose(comp.entries[act],
-                           1 / np.sqrt(comp.gram_diag[act]))
-
     def test_precoder_zeroes_guard_band(self, mid_hermite):
         C = mid_hermite.precoder()
         assert not np.abs(C[:, 16:48]).any()
@@ -105,7 +100,8 @@ class TestModemStructure:
             return np.linalg.norm(gram - d) / np.linalg.norm(d)
 
         for modem in (mid_hermite, mid_phydyas):
-            bank_gram = modem._bank_single.T @ modem._bank_single
+            bank = single_symbol_matrix(modem.prototype)
+            bank_gram = bank.T @ bank
             V = modem.synthesis_matrix() @ modem.precoder()
             per_symbol = V.conj().T @ bank_gram @ V
             assert off_mass(per_symbol) > 1e-3
@@ -190,13 +186,6 @@ class TestEffectiveChannels:
 DOPPLER_MAX = 2.0
 
 
-@pytest.fixture(scope="module")
-def oracle_modems(toy_modem, mid_hermite, mid_phydyas):
-    """Both families at toy and mid scale."""
-    return (toy_modem, AfbmModem(design_config(8, 2, 16, 12, "phydyas")),
-            mid_hermite, mid_phydyas)
-
-
 @st.composite
 def realizations(draw, M, N):
     """1-3 paths whose delays hit 0, at least N/2, M-1 and at least M,
@@ -231,14 +220,41 @@ class TestBlockPath:
         modem = oracle_modems[which]
         M = modem.cfg.frame_size
         ch = data.draw(realizations(M, modem.cfg.N))
+        H = channel_matrix(ch, size=M)
         got = modem.effective_channel(ch, domain)
-        want = self.dense(modem, channel_matrix(ch, size=M), domain)
+        want = self.dense(modem, H, domain)
         assert got.domain == domain
         assert got.matrix.shape == want.shape
         # Entries are bounded by the summed path gains (unit-norm
         # transmit columns, receive columns of norm at most one).
         scale = sum(abs(p.gain) for p in ch.paths)
         assert np.abs(got.matrix - want).max() <= 1e-12 * scale
+        # The dense branch (the bank as a matrix) agrees too.
+        dense = modem.effective_channel(H, domain)
+        assert np.abs(dense.matrix - want).max() <= 1e-12 * scale
+
+    @given(which=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=20, deadline=None)
+    def test_filtered_receive_matches_filter_matrix(self, oracle_modems,
+                                                    which, seed):
+        modem = oracle_modems[which]
+        rng = np.random.default_rng(seed)
+        M = modem.cfg.frame_size
+        r = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        want = modem.filter_matrix().T @ r
+        got = modem.filtered_receive(r)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(r).sum()
+
+    @given(which=st.integers(0, 3), sigma2=st.floats(0.0, 10.0))
+    @settings(max_examples=20, deadline=None)
+    def test_received_noise_power_is_mean_column_energy(self, oracle_modems,
+                                                         which, sigma2):
+        modem = oracle_modems[which]
+        for domain, front in ((AFFINE, modem.modulation_matrix()),
+                              (FILTERED, modem.filter_matrix())):
+            want = sigma2 * np.mean(np.sum(np.abs(front) ** 2, axis=0))
+            got = modem.received_noise_power(domain, sigma2)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     def test_rejects_realization_for_other_frame(self, oracle_modems,
