@@ -17,8 +17,8 @@ from .equalize import (DeltaMatrix, Equalizer, conditioned_delta,
                        mmse)
 from .filters import (PrototypeFilter, custom_prototype, hermite_prototype,
                       phydyas_prototype)
-from .metrics import (BerPoint, ConditionedSir, SirStatistics, WaveformSir,
-                      ber_curve, interference_map, sir_conditioned,
+from .metrics import (BerPoint, ConditionedSir, SirPass, SirStatistics,
+                      WaveformSir, ber_curve, sir_conditioned, sir_pass,
                       sir_statistics, sir_waveform)
 from .modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
                     ModulationConfig, design_config, qam_alphabet,
@@ -30,12 +30,12 @@ __all__ = [
     "AFFINE", "FILTERED", "AfbmModem", "BerPoint", "ChannelConfig",
     "ChannelRealization", "ChirpParams", "ConditionedSir", "DeltaMatrix",
     "EffectiveChannel", "Equalizer", "ModulationConfig", "PathSpec",
-    "PrototypeFilter", "SirStatistics", "WaveformSir", "add_awgn",
-    "apply_channel", "ber_curve", "channel_matrix", "conditioned_delta",
-    "custom_prototype", "daft_matrix", "default_c1", "default_c2",
-    "delta_from_gram", "delta_matrix", "design_config", "dft_matrix",
-    "equalize_and_detect", "hermite_prototype", "interference_map", "mmse",
+    "PrototypeFilter", "SirPass", "SirStatistics", "WaveformSir",
+    "add_awgn", "apply_channel", "ber_curve", "channel_matrix",
+    "conditioned_delta", "custom_prototype", "daft_matrix", "default_c1",
+    "default_c2", "delta_from_gram", "delta_matrix", "design_config",
+    "dft_matrix", "equalize_and_detect", "hermite_prototype", "mmse",
     "phydyas_prototype", "pruned_daft", "qam_alphabet", "qam_demap",
-    "qam_map", "sample_channel", "sir_conditioned", "sir_statistics",
-    "sir_waveform", "synthesis_block", "trial_stream",
+    "qam_map", "sample_channel", "sir_conditioned", "sir_pass",
+    "sir_statistics", "sir_waveform", "synthesis_block", "trial_stream",
 ]

@@ -22,9 +22,7 @@ __all__ = [
     "add_awgn",
     "apply_channel",
     "channel_matrix",
-    "from_records",
     "sample_channel",
-    "to_records",
     "trial_stream",
 ]
 
@@ -185,7 +183,7 @@ def apply_channel(c: ChannelRealization, s: np.ndarray) -> np.ndarray:
 def add_awgn(v: np.ndarray, sigma2: float,
              rng: np.random.Generator) -> np.ndarray:
     """Add circularly symmetric white noise of per-sample variance sigma2."""
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     if sigma2 == 0:
         return np.array(v, dtype=complex, copy=True)
@@ -194,14 +192,3 @@ def add_awgn(v: np.ndarray, sigma2: float,
     return v + scale * (rng.standard_normal(v.shape)
                         + 1j * rng.standard_normal(v.shape))
 
-
-def to_records(c: ChannelRealization) -> list[tuple[float, float, int, float]]:
-    """Rows (Re gain, Im gain, delay, doppler), one per path."""
-    return [(p.gain.real, p.gain.imag, p.delay, p.doppler) for p in c.paths]
-
-
-def from_records(rows, size: int | None = None) -> ChannelRealization:
-    """Rebuild a realization from :func:`to_records` rows."""
-    paths = tuple(PathSpec(complex(re, im), int(d), float(f))
-                  for re, im, d, f in rows)
-    return ChannelRealization(paths, size=size)

@@ -8,14 +8,20 @@ domains, and the Monte-Carlo budget.  Three experiment kinds exist:
 ``sir-waveform``
     Intrinsic SIR of every scenario, no channel involved.
 ``sir-channel``
-    Channel-conditioned SIR statistics per scenario and domain.
+    Channel-conditioned SIR statistics per scenario and domain, and
+    with ``emit_heatmap`` the mean |Delta|^2 maps.  One Monte-Carlo
+    pass per scenario (:func:`afbm.metrics.sir_pass`) feeds both; the
+    maps travel in :attr:`ExperimentReport.heatmaps` and
+    :func:`write_report` only formats them.
 ``ber``
     Bit-error curves over an SNR grid per scenario and domain.
 
 Outputs land in the chosen directory as ``<kind>-<hash>.csv`` plus a
 human-readable ``summary.txt``; the hash is a digest of the canonical
 spec serialization, so identical experiments land on identical names.
-Nothing is written when validation fails.
+Nothing is written when validation fails, and :func:`validate` refuses
+a bad spec (non-finite noise or SNR values, a negative seed, options
+the kind ignores, ...) before any compute.
 """
 
 from __future__ import annotations
@@ -24,18 +30,17 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import yaml
 
 from . import __version__
-from .channel import ChannelConfig, sample_channel, trial_stream
-from .equalize import conditioned_delta
-from .metrics import (ber_curve, interference_map, sir_statistics,
-                      sir_waveform)
+from .channel import ChannelConfig
+from .metrics import ber_curve, sir_pass, sir_waveform
 from .modem import (AFFINE, FILTERED, AfbmModem, design_config,
                     qam_alphabet)
 from .transforms import check_daft_orthogonality_condition
@@ -105,6 +110,9 @@ class ExperimentReport:
     header: tuple[str, ...]
     samples: tuple[tuple, ...] = ()
     samples_header: tuple[str, ...] = ()
+    # ((filter, P, domain), mean |Delta|^2 array) per scenario and domain
+    # of a sir-channel run with emit_heatmap.
+    heatmaps: tuple = field(default=(), compare=False)
 
 
 # ------------------------------------------------------------- serialization
@@ -259,8 +267,18 @@ def validate(spec: ExperimentSpec) -> list[str]:
         if dom not in (AFFINE, FILTERED):
             out.append(f"unknown sigma2 domain {dom!r}; expected "
                        f"{AFFINE!r} or {FILTERED!r}")
-        if value < 0:
+        if not math.isfinite(value):
+            out.append(f"sigma2[{dom}] must be finite, got {value}")
+        elif value < 0:
             out.append(f"sigma2[{dom}] must be >= 0, got {value}")
+    for value in spec.snr_db:
+        if not math.isfinite(value):
+            out.append(f"snr_db entries must be finite, got {value}")
+    if spec.seed < 0:
+        out.append(f"seed must be >= 0, got {spec.seed}")
+    if spec.emit_heatmap and spec.kind != "sir-channel":
+        out.append(f"emit_heatmap applies to sir-channel only; "
+                   f"{spec.kind!r} writes no heatmap")
     if spec.kind == "sir-channel":
         missing = [d for d in spec.domains if d not in dict(spec.sigma2)]
         if missing:
@@ -327,21 +345,21 @@ def _run_sir_waveform(spec: ExperimentSpec, workers: int):
         result = sir_waveform(_modem_for(spec, family, P))
         rows.append((family, P, spec.L, spec.K, spec.N,
                      result.value_db, int(result.orthogonal)))
-    return header, rows, (), ()
+    return {"header": header, "rows": tuple(rows)}
 
 
 def _run_sir_channel(spec: ExperimentSpec, workers: int):
     header = ("filter", "P", "domain", "metric", "value")
     samples_header = ("filter", "P", "domain", "realization", "sir_db")
-    rows, samples = [], []
+    rows, samples, heatmaps = [], [], []
     chan = spec.channel_config()
     for family, P in spec.scenarios():
-        modem = _modem_for(spec, family, P)
-        for domain in spec.domains:
-            stats = sir_statistics(
-                modem, chan, domain, spec.realizations, spec.seed,
-                sigma2=spec.sigma2_for(domain), averaging=spec.averaging,
-                workers=workers)
+        result = sir_pass(
+            _modem_for(spec, family, P), chan,
+            {d: spec.sigma2_for(d) for d in spec.domains},
+            range(spec.realizations), spec.seed, averaging=spec.averaging,
+            heatmaps=spec.emit_heatmap, workers=workers)
+        for domain, stats in result.statistics.items():
             for metric, value in (
                     ("average_db", stats.average_db),
                     ("maximum_db", stats.maximum_db),
@@ -353,7 +371,11 @@ def _run_sir_channel(spec: ExperimentSpec, workers: int):
             samples.extend(
                 (family, P, domain, i, s)
                 for i, s in enumerate(stats.samples_db))
-    return header, rows, samples_header, samples
+        heatmaps.extend(((family, P, domain), power)
+                        for domain, power in result.heatmaps.items())
+    return {"header": header, "rows": tuple(rows),
+            "samples_header": samples_header, "samples": tuple(samples),
+            "heatmaps": tuple(heatmaps)}
 
 
 def _run_ber(spec: ExperimentSpec, workers: int):
@@ -370,7 +392,7 @@ def _run_ber(spec: ExperimentSpec, workers: int):
                 qam_order=spec.qam_order, workers=workers)
             rows.extend((family, P, domain, pt.snr_db, pt.bit_errors,
                          pt.bits_total, pt.ber) for pt in points)
-    return header, rows, (), ()
+    return {"header": header, "rows": tuple(rows)}
 
 
 _RUNNERS = {
@@ -398,12 +420,11 @@ def run(spec: ExperimentSpec, override_orthogonality: bool = False,
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     start = time.perf_counter()
-    header, rows, samples_header, samples = _RUNNERS[spec.kind](spec, workers)
+    outputs = _RUNNERS[spec.kind](spec, workers)
     elapsed = time.perf_counter() - start
     return ExperimentReport(
         fingerprint=spec_fingerprint(spec), version=__version__,
-        kind=spec.kind, elapsed_s=elapsed, rows=tuple(rows), header=header,
-        samples=tuple(samples), samples_header=samples_header)
+        kind=spec.kind, elapsed_s=elapsed, **outputs)
 
 
 @contextlib.contextmanager
@@ -434,38 +455,33 @@ def _write_csv(path: str, report_header: str, header, rows):
             fh.write(",".join(_num(v) for v in row) + "\n")
 
 
-def _write_heatmaps(spec: ExperimentSpec, out_dir: str, stamp: str):
-    """Mean |Delta|^2 per scenario and domain, one CSV each."""
+def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
+    """One CSV per map in ``report.heatmaps``, formatted a row at a time.
+
+    Each cell is written as ``repr`` of its float, the same text
+    :func:`_num` gives, so the files match the per-cell writer byte for
+    byte.
+    """
     written = []
-    chan = spec.channel_config()
-    for family, P in spec.scenarios():
-        modem = _modem_for(spec, family, P)
-        for domain in spec.domains:
-            deltas = []
-            for index in range(spec.realizations):
-                rng = trial_stream(spec.seed, index)
-                realization = sample_channel(
-                    chan.n_paths, chan.delay_max, chan.doppler_max, rng,
-                    size=modem.cfg.frame_size)
-                deltas.append(conditioned_delta(
-                    modem, realization, domain,
-                    spec.sigma2_for(domain)).matrix)
-            power = interference_map(deltas)
-            path = os.path.join(
-                out_dir, f"heatmap-{family}-P{P}-{domain}.csv")
-            with _atomic_open(path) as fh:
-                fh.write(stamp)
-                fh.write("row,col,power\n")
-                for i in range(power.shape[0]):
-                    for j in range(power.shape[1]):
-                        fh.write(f"{i},{j},{_num(power[i, j])}\n")
-            written.append(path)
+    for (family, P, domain), power in report.heatmaps:
+        path = os.path.join(out_dir, f"heatmap-{family}-P{P}-{domain}.csv")
+        with _atomic_open(path) as fh:
+            fh.write(stamp)
+            fh.write("row,col,power\n")
+            for i, row in enumerate(power):
+                fh.write("".join(f"{i},{j},{v!r}\n"
+                                 for j, v in enumerate(row.tolist())))
+        written.append(path)
     return written
 
 
 def write_report(spec: ExperimentSpec, report: ExperimentReport,
                  out_dir: str) -> list[str]:
-    """Write the CSV artifacts and summary; returns the paths written."""
+    """Write the CSV artifacts and summary; returns the paths written.
+
+    Everything written comes from ``report``; ``spec`` is accepted for
+    callers that pass it.
+    """
     os.makedirs(out_dir, exist_ok=True)
     stamp = (f"# afbm {report.version} spec={report.fingerprint}\n")
     written = []
@@ -496,8 +512,7 @@ def write_report(spec: ExperimentSpec, report: ExperimentReport,
                 for v, w in zip(row, widths)) + "\n")
     written.append(summary_path)
 
-    if spec.emit_heatmap and spec.kind == "sir-channel":
-        written.extend(_write_heatmaps(spec, out_dir, stamp))
+    written.extend(_write_heatmaps(report, out_dir, stamp))
     return written
 
 

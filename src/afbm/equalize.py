@@ -107,7 +107,7 @@ def mmse(heff: EffectiveChannel, sigma2: float) -> Equalizer:
     inverse.  With sigma2 = 0 this is the zero-forcing pseudo-inverse
     and requires a full-column-rank effective channel.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     gram = Hm.conj().T @ Hm
@@ -139,7 +139,7 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     solve) and is mirrored exactly Hermitian.  A Gram the factorization
     rejects raises ValueError naming n and r.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     n = gram.shape[0]
     r = sigma2 if sigma2 > 0 else 1e-10 * np.trace(gram).real / n
@@ -199,7 +199,7 @@ def mmse_detect(heff: EffectiveChannel, received: np.ndarray,
     with ``equalize_and_detect(mmse(heff, sigma2), received, alphabet)``
     up to roundoff in the soft estimates.
     """
-    if sigma2 < 0:
+    if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     received = _received_vector(received, Hm.shape[0])

@@ -6,6 +6,11 @@ channel, and the channel-conditioned SIR of the equalized end-to-end
 matrix of one realization.  Aggregation over realizations and the
 bit-error Monte Carlo live here as well.
 
+:func:`sir_pass` is the one SIR Monte-Carlo pass: per realization index
+it draws the channel once and, per domain, computes Delta once; that
+Delta yields the SIR sample and, when asked, the |Delta|^2 that the
+mean interference heatmap accumulates in index order.
+
 The conditioned SIR comes in two flavors.  The ratio
 (d / (||Delta||_F^2 - d)) treats any deviation of the Frobenius mass
 from the d unit diagonals as interference; under MMSE the diagonal
@@ -31,11 +36,12 @@ from .modem import AFFINE, FILTERED, AfbmModem, ModulationConfig, \
 __all__ = [
     "BerPoint",
     "ConditionedSir",
+    "SirPass",
     "SirStatistics",
     "WaveformSir",
     "ber_curve",
-    "interference_map",
     "sir_conditioned",
+    "sir_pass",
     "sir_statistics",
     "sir_waveform",
 ]
@@ -140,15 +146,26 @@ def _domain_gram(modem: AfbmModem, realization, domain: str) -> np.ndarray:
     return _gram(modem.effective_channel(realization, domain).matrix)
 
 
-def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
-                seed: int, index: int, sigma2: float) -> ConditionedSir:
+def _domain_sample(modem: AfbmModem, realization, domain: str,
+                   sigma2: float, heatmaps: bool) -> tuple:
+    # A function of its own so each Delta is freed before the next
+    # domain's is computed.
+    delta = delta_from_gram(_domain_gram(modem, realization, domain), sigma2)
+    return sir_conditioned(delta), (np.abs(delta) ** 2 if heatmaps else None)
+
+
+def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
+                index: int, noise: tuple[tuple[str, float], ...],
+                heatmaps: bool) -> list[tuple]:
+    """One realization: per (domain, sigma2) of ``noise``, the
+    conditioned SIR and, when ``heatmaps`` is set, |Delta|^2.  The
+    channel is drawn once for all domains."""
     rng = _channel.trial_stream(seed, index)
     realization = _channel.sample_channel(
         chan.n_paths, chan.delay_max, chan.doppler_max, rng,
         size=modem.cfg.frame_size)
-    gram = _domain_gram(modem, realization, domain)
-    return sir_conditioned(delta_from_gram(gram, sigma2))
-
+    return [_domain_sample(modem, realization, domain, sigma2, heatmaps)
+            for domain, sigma2 in noise]
 
 
 # Worker-process state for the Monte-Carlo pools.  The modem is rebuilt
@@ -157,32 +174,107 @@ def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
 _POOL_STATE: dict = {}
 
 
-def _pool_init(cfg: ModulationConfig, chan, domain, seed, sigma2):
-    _POOL_STATE["args"] = (AfbmModem(cfg), chan, domain, seed, sigma2)
+def _pool_init(cfg: ModulationConfig, work):
+    _POOL_STATE["modem"] = AfbmModem(cfg)
+    _POOL_STATE["work"] = work
 
 
-def _pool_sample(index: int) -> ConditionedSir:
-    modem, chan, domain, seed, sigma2 = _POOL_STATE["args"]
-    return _sir_sample(modem, chan, domain, seed, index, sigma2)
+def _pool_task(args: tuple):
+    return _POOL_STATE["work"](_POOL_STATE["modem"], *args)
 
 
-def _pool_ber_init(cfg: ModulationConfig, chan, domain, seed, order):
-    _POOL_STATE["ber"] = (AfbmModem(cfg), chan, domain, seed, order,
-                          qam_alphabet(order))
+def _pool(modem: AfbmModem, work, workers: int) -> ProcessPoolExecutor:
+    """Pool whose tasks call ``work(modem, *args)`` via :func:`_pool_task`."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                               initargs=(modem.cfg, work))
 
 
-def _pool_ber_trial(task: tuple[int, float]) -> tuple[int, int]:
-    modem, chan, domain, seed, order, alphabet = _POOL_STATE["ber"]
-    index, sigma2 = task
-    return _ber_trial(modem, chan, domain, seed, index, sigma2, order,
-                      alphabet)
+def _statistics(conditioned: list[ConditionedSir],
+                averaging: str) -> SirStatistics:
+    samples = np.array([c.value_db for c in conditioned])
+    if averaging == "linear":
+        average = 10.0 * np.log10(np.mean(10.0 ** (samples / 10.0)))
+    else:
+        average = float(np.mean(samples))
+    return SirStatistics(
+        average_db=float(average),
+        maximum_db=float(np.max(samples)),
+        minimum_db=float(np.min(samples)),
+        realizations=len(conditioned),
+        averaging=averaging,
+        substituted=sum(c.substituted for c in conditioned),
+        samples_db=tuple(float(s) for s in samples),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class SirPass:
+    """Per-domain results of one Monte-Carlo pass.
+
+    ``heatmaps`` maps each domain to the mean |Delta|^2 over the pass's
+    realizations, and is empty unless the pass was asked for them.
+    """
+
+    statistics: dict[str, SirStatistics]
+    heatmaps: dict[str, np.ndarray]
+
+
+def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
+             sigma2: dict[str, float], indices, seed: int, *,
+             averaging: str = "linear", heatmaps: bool = False,
+             workers: int = 1) -> SirPass:
+    """Conditioned SIR statistics, and optionally heatmaps, of every
+    domain in ``sigma2`` (domain -> operating noise power) from one
+    pass over ``indices``.
+
+    Each index draws its channel once from the stream keyed by
+    (seed, index), and each domain's Delta is computed once and feeds
+    both its SIR sample and its |Delta|^2.  Results are folded in index
+    order (``acc + power``, then ``/ count``), whether they come from
+    this process or from workers handed fixed chunks of 8 indices, so
+    the output does not depend on ``workers``.  Memory is one n x n
+    accumulator per domain, not one Delta per realization.
+    """
+    indices = list(indices)
+    if not indices:
+        raise ValueError("need at least one realization, got 0")
+    if not sigma2:
+        raise ValueError("need at least one domain")
+    if averaging not in ("linear", "db"):
+        raise ValueError(f"averaging must be 'linear' or 'db', "
+                         f"got {averaging!r}")
+    noise = tuple(sigma2.items())
+    tasks = [(chan, seed, i, noise, heatmaps) for i in indices]
+    conditioned = {domain: [] for domain in sigma2}
+    acc = dict.fromkeys(sigma2)
+    pool = _pool(modem, _sir_sample, workers) if workers > 1 else None
+    try:
+        results = (pool.map(_pool_task, tasks, chunksize=8)
+                   if pool is not None
+                   else (_sir_sample(modem, *task) for task in tasks))
+        for per_domain in results:
+            for domain, (sir, power) in zip(sigma2, per_domain):
+                conditioned[domain].append(sir)
+                if heatmaps:
+                    acc[domain] = (power if acc[domain] is None
+                                   else acc[domain] + power)
+            # Free this index's maps before the next index is computed.
+            del per_domain, power
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    return SirPass(
+        statistics={d: _statistics(c, averaging)
+                    for d, c in conditioned.items()},
+        heatmaps={d: a / len(indices) for d, a in acc.items()}
+        if heatmaps else {})
 
 
 def sir_statistics(modem: AfbmModem, chan: _channel.ChannelConfig,
                    domain: str, n_realizations: int, seed: int,
                    sigma2: float = 0.0, averaging: str = "linear",
                    workers: int = 1) -> SirStatistics:
-    """Conditioned SIR over freshly drawn channels.
+    """Conditioned SIR of one domain over freshly drawn channels.
 
     Each realization draws its channel from an independent stream
     keyed by (seed, index), so results are reproducible bit-exactly
@@ -194,53 +286,15 @@ def sir_statistics(modem: AfbmModem, chan: _channel.ChannelConfig,
     the SIR power ratios before converting to dB (energy-consistent),
     "db" averages the dB values themselves, which matches how
     published tables are usually aggregated.  Extremes are reported in
-    dB either way.
+    dB either way.  This is :func:`sir_pass` for one domain without
+    heatmaps.
     """
     if n_realizations < 1:
         raise ValueError(f"need at least one realization, "
                          f"got {n_realizations}")
-    if averaging not in ("linear", "db"):
-        raise ValueError(f"averaging must be 'linear' or 'db', "
-                         f"got {averaging!r}")
-    indices = range(n_realizations)
-    if workers > 1:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_pool_init,
-                initargs=(modem.cfg, chan, domain, seed, sigma2)) as pool:
-            conditioned = list(pool.map(_pool_sample, indices,
-                                        chunksize=8))
-    else:
-        conditioned = [_sir_sample(modem, chan, domain, seed, i, sigma2)
-                       for i in indices]
-
-    samples = np.array([c.value_db for c in conditioned])
-    if averaging == "linear":
-        average = 10.0 * np.log10(np.mean(10.0 ** (samples / 10.0)))
-    else:
-        average = float(np.mean(samples))
-    return SirStatistics(
-        average_db=float(average),
-        maximum_db=float(np.max(samples)),
-        minimum_db=float(np.min(samples)),
-        realizations=n_realizations,
-        averaging=averaging,
-        substituted=sum(c.substituted for c in conditioned),
-        samples_db=tuple(float(s) for s in samples),
-    )
-
-
-def interference_map(deltas) -> np.ndarray:
-    """Mean squared magnitude of end-to-end matrices, for leakage heatmaps."""
-    acc = None
-    count = 0
-    for delta in deltas:
-        matrix = getattr(delta, "matrix", delta)
-        power = np.abs(matrix) ** 2
-        acc = power if acc is None else acc + power
-        count += 1
-    if acc is None:
-        raise ValueError("no delta matrices given")
-    return acc / count
+    return sir_pass(modem, chan, {domain: sigma2}, range(n_realizations),
+                    seed, averaging=averaging,
+                    workers=workers).statistics[domain]
 
 
 # ------------------------------------------------------------------ BER curve
@@ -298,11 +352,7 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     if domain not in (AFFINE, FILTERED):
         raise ValueError(f"unknown domain {domain!r}")
     alphabet = qam_alphabet(qam_order)
-    pool = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_ber_init,
-            initargs=(modem.cfg, chan, domain, seed, qam_order))
+    pool = _pool(modem, _ber_trial, workers) if workers > 1 else None
     try:
         points = []
         for p_idx, snr_db in enumerate(snr_grid_db):
@@ -312,14 +362,12 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
             done = 0
             while done < trials:
                 size = min(batch, trials - done)
-                tasks = [(p_idx * trials + done + t, sigma2)
-                         for t in range(size)]
+                tasks = [(chan, domain, seed, p_idx * trials + done + t,
+                          sigma2, qam_order, alphabet) for t in range(size)]
                 if pool is not None:
-                    results = list(pool.map(_pool_ber_trial, tasks))
+                    results = list(pool.map(_pool_task, tasks))
                 else:
-                    results = [_ber_trial(modem, chan, domain, seed, i,
-                                          s2, qam_order, alphabet)
-                               for i, s2 in tasks]
+                    results = [_ber_trial(modem, *task) for task in tasks]
                 for err, nbits in results:
                     errors += err
                     bits_total += nbits

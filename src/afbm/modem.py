@@ -27,7 +27,7 @@ matrix S and projected by S^H or the dense filter bank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class ModulationConfig:
         embedding; :func:`design_config` enforces that.
     xi : int
         Guard width entering the default pre-chirp rate.
-    metadata : dict
-        Free-form physical-grid annotations (subcarrier spacing,
-        carrier frequency, ...) that do not affect the simulation.
     """
 
     L: int
@@ -99,7 +96,6 @@ class ModulationConfig:
     c1_P: float = 0.0
     c2_P: float = 0.0
     xi: int = 0
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def violations(self) -> list[str]:
         """All violated structural constraints, empty when valid."""
@@ -135,8 +131,7 @@ _DEFAULT_OVERLAP = {"hermite": 1.5, "phydyas": 4.0}
 def design_config(L: int, K: int, N: int, P: int,
                   filter_family: str = "hermite",
                   overlap: float | None = None,
-                  f_max: float = 2.0, xi: int = 0,
-                  metadata: dict | None = None) -> ModulationConfig:
+                  f_max: float = 2.0, xi: int = 0) -> ModulationConfig:
     """Populate a configuration with the default chirp rates.
 
     The pre-chirp rate follows the delay-Doppler separability default
@@ -154,7 +149,7 @@ def design_config(L: int, K: int, N: int, P: int,
     return ModulationConfig(
         L=L, K=K, N=N, P=P, overlap=overlap, filter_family=filter_family,
         c1_L=c1, c2_L=default_c2(L), c1_P=c1, c2_P=default_c2(P),
-        xi=xi, metadata=metadata or {})
+        xi=xi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "ChirpParams",
     "check_daft_orthogonality_condition",
-    "chirp_diag",
     "chirp_phases",
     "daft_matrix",
     "default_c1",
@@ -72,11 +71,6 @@ def chirp_phases(c: float, n: int) -> np.ndarray:
         raise ValueError(f"transform size must be positive, got {n}")
     k = np.arange(n)
     return np.exp(-2j * np.pi * c * k.astype(float) ** 2)
-
-
-def chirp_diag(c: float, n: int) -> np.ndarray:
-    """Dense n x n diagonal chirp matrix."""
-    return np.diag(chirp_phases(c, n))
 
 
 def daft_matrix(params: ChirpParams) -> np.ndarray:

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from afbm.channel import (ChannelConfig, ChannelRealization, PathSpec,
                           add_awgn, apply_channel, channel_matrix,
-                          from_records, sample_channel, to_records,
-                          trial_stream)
+                          sample_channel, trial_stream)
 
 
 class TestTypes:
@@ -194,9 +193,3 @@ class TestAwgn:
         with pytest.raises(ValueError):
             add_awgn(np.ones(4, dtype=complex), -1e-3, rng)
 
-
-class TestRecords:
-
-    def test_roundtrip(self):
-        ch = sample_channel(3, 16, 2.0, trial_stream(21, 0), size=100)
-        assert from_records(to_records(ch), size=100) == ch

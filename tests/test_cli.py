@@ -165,6 +165,40 @@ class TestValidate:
     def test_ber_square_qam_orders_accepted(self, order):
         assert validate(parse_spec(SMALL_BER + f"qam_order: {order}\n")) == []
 
+    @pytest.mark.parametrize("base,old,new,reason", [
+        (SMALL_SIR, "affine: 3.0e-3", "affine: .nan",
+         "sigma2[affine] must be finite, got nan"),
+        (SMALL_SIR, "filtered: 3.0e-4", "filtered: .inf",
+         "sigma2[filtered] must be finite, got inf"),
+        (SMALL_BER, "snr_db: [6, 12]", "snr_db: [6, .nan]",
+         "snr_db entries must be finite, got nan"),
+        (SMALL_BER, "snr_db: [6, 12]", "snr_db: [-.inf, 12]",
+         "snr_db entries must be finite, got -inf"),
+        (SMALL_SIR, "seed: 11", "seed: -1", "seed must be >= 0, got -1"),
+        (SMALL_BER, "seed: 5", "seed: -5", "seed must be >= 0, got -5"),
+        (SMALL_BER, "min_bit_errors: 10",
+         "min_bit_errors: 10\nemit_heatmap: true",
+         "emit_heatmap applies to sir-channel only; 'ber' writes no "
+         "heatmap"),
+        (SMALL_SIR, "kind: sir-channel",
+         "kind: sir-waveform\nemit_heatmap: true",
+         "emit_heatmap applies to sir-channel only; 'sir-waveform' writes "
+         "no heatmap"),
+    ])
+    def test_bad_values_refused_before_compute(self, base, old, new, reason,
+                                               monkeypatch):
+        bad = parse_spec(base.replace(old, new))
+        assert reason in validate(bad)
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        for kind in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, kind, no_compute)
+        with pytest.raises(ValueError) as refused:
+            run(bad, workers=1)
+        assert str(refused.value) == reason
+
 
 class TestRun:
 
@@ -274,6 +308,26 @@ class TestMainAndOutputs:
         assert len(rows) == 12
         assert rows[0].split(",")[:4] == ["hermite", "48", "affine", "0"]
 
+    def test_worker_count_does_not_change_written_files(self, tmp_path):
+        # 10 realizations: the two-worker pool runs more than one chunk.
+        text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
+            .replace("realizations: 3", "realizations: 10") \
+            + "emit_heatmap: true\n"
+        spec = parse_spec(text)
+        written = {}
+        for workers in (1, 2):
+            paths = write_report(spec, run(spec, workers=workers),
+                                 str(tmp_path / f"w{workers}"))
+            written[workers] = {os.path.basename(p): open(p, "rb").read()
+                                for p in paths
+                                if not p.endswith("summary.txt")}
+        names = sorted(written[1])
+        assert names == sorted(written[2])
+        assert len([n for n in names if n.startswith("heatmap-")]) == 2
+        assert any(n.endswith("-samples.csv") for n in names)
+        for name in names:
+            assert written[1][name] == written[2][name], name
+
     def test_heatmap_emission(self, tmp_path):
         text = SMALL_SIR + "emit_heatmap: true\n"
         text = text.replace("P: [48, 64]", "P: [48]")
@@ -293,6 +347,8 @@ class _Unprintable:
 
     def __str__(self):
         raise RuntimeError("write failed partway")
+
+    __repr__ = __str__
 
 
 class _UnformattableFloat(float):
@@ -354,8 +410,7 @@ class TestAtomicWrites:
         body = (out / "ber-0123456789ab.csv").read_text().splitlines()
         assert len(body) == 2 + 4
 
-    def test_failed_heatmap_leaves_no_partial_file(self, tmp_path,
-                                                   monkeypatch):
+    def test_failed_heatmap_leaves_no_partial_file(self, tmp_path):
         text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
             .replace("realizations: 3", "realizations: 1") \
             .replace("domains: [affine, filtered]", "domains: [affine]") \
@@ -363,19 +418,49 @@ class TestAtomicWrites:
         spec = parse_spec(text)
         assert spec.domains == ("affine",) and spec.emit_heatmap
         report = run(spec, workers=1)
-
-        def broken_map(deltas):
-            power = np.abs(np.asarray(list(deltas)[0])).astype(object)
-            power[power.shape[0] // 2, 0] = _Unprintable()
-            return power
-
-        monkeypatch.setattr(cli, "interference_map", broken_map)
+        [(key, power)] = report.heatmaps
+        power = power.astype(object)
+        power[power.shape[0] // 2, 0] = _Unprintable()
+        report = replace(report, heatmaps=((key, power),))
         out = tmp_path / "h"
         with pytest.raises(RuntimeError, match="partway"):
             write_report(spec, report, str(out))
         names = self.listing(out)
         assert not [n for n in names if n.startswith("heatmap")]
         assert not [n for n in names if n.endswith(".tmp")]
+
+
+def _per_cell_heatmap(path, stamp, power):
+    """The heatmap writer before it formatted a row at a time."""
+    with open(path, "w") as fh:
+        fh.write(stamp)
+        fh.write("row,col,power\n")
+        for i in range(power.shape[0]):
+            for j in range(power.shape[1]):
+                fh.write(f"{i},{j},{cli._num(power[i, j])}\n")
+
+
+class TestHeatmapWriter:
+
+    def test_rows_match_the_per_cell_writer(self, tmp_path):
+        tiny = np.finfo(float).tiny
+        values = [0.0, 5e-324, tiny / 3, np.nextafter(tiny, 0), tiny,
+                  1e-300, 0.1 + 0.2, 1.0 / 3.0, 2.0 / 3.0,
+                  np.nextafter(1.0, 2.0), 123456.78901234567, 1e16,
+                  1.2345678901234567e16, 2.0 ** 60, 9.999999999999998e22,
+                  1e300, np.finfo(float).max]
+        rng = np.random.default_rng(3)
+        power = np.concatenate([values, rng.random(43) * 10.0 ** rng
+                                .integers(-300, 300, 43)]).reshape(6, 10)
+        report = replace(TestAtomicWrites().report(),
+                         heatmaps=((("hermite", 48, "affine"), power),))
+        stamp = "# afbm test spec=0123456789ab\n"
+        [path] = cli._write_heatmaps(report, str(tmp_path), stamp)
+        _per_cell_heatmap(tmp_path / "per-cell.csv", stamp, power)
+        got = open(path, "rb").read()
+        assert got == (tmp_path / "per-cell.csv").read_bytes()
+        assert os.path.basename(path) == "heatmap-hermite-P48-affine.csv"
+        assert got.count(b"\n") == 2 + power.size
 
 
 class TestPresets:

@@ -319,3 +319,25 @@ class TestMmseDetect:
         heff = EffectiveChannel(np.zeros((6, 4), dtype=complex), AFFINE)
         with pytest.raises(ValueError, match="^mmse: 4x4 Gram"):
             mmse_detect(heff, np.zeros(6), 0.0, qam_alphabet(4))
+
+
+class TestNoiseRefusal:
+
+    @pytest.mark.parametrize("sigma2", [np.nan, -1e-3, -np.inf])
+    @pytest.mark.parametrize("solver", ["delta_from_gram", "mmse",
+                                        "mmse_detect", "add_awgn"])
+    def test_nan_and_negative_noise_refused(self, solver, sigma2, rng):
+        heff = random_heff(4, rng)
+        call = {
+            "delta_from_gram": lambda: delta_from_gram(
+                _gram(heff.matrix), sigma2),
+            "mmse": lambda: mmse(heff, sigma2),
+            "mmse_detect": lambda: mmse_detect(
+                heff, np.zeros(4), sigma2, qam_alphabet(4)),
+            "add_awgn": lambda: add_awgn(np.zeros(4, dtype=complex),
+                                         sigma2, rng),
+        }[solver]
+        with pytest.raises(ValueError,
+                           match=f"noise variance must be >= 0, got "
+                                 f"{sigma2}"):
+            call()

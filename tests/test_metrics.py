@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from afbm.channel import ChannelConfig
-from afbm.equalize import DeltaMatrix
+from afbm.channel import ChannelConfig, sample_channel, trial_stream
+from afbm.equalize import DeltaMatrix, conditioned_delta
 from afbm.filters import custom_prototype
-from afbm.metrics import (BerPoint, ber_curve, interference_map,
-                          sir_conditioned, sir_statistics, sir_waveform)
+from afbm.metrics import (BerPoint, ber_curve, sir_conditioned, sir_pass,
+                          sir_statistics, sir_waveform)
 from afbm.modem import AFFINE, FILTERED, AfbmModem, design_config
 
 
@@ -115,15 +115,70 @@ class TestSirStatistics:
                            averaging="median")
 
 
-class TestInterferenceMap:
+def two_pass_maps(modem, chan, sigma2, n, seed):
+    """The heatmap as a second pass computed it: every Delta redrawn per
+    domain, then summed in index order and divided by the count."""
+    out = {}
+    for domain, s2 in sigma2.items():
+        acc = None
+        for index in range(n):
+            realization = sample_channel(
+                chan.n_paths, chan.delay_max, chan.doppler_max,
+                trial_stream(seed, index), size=modem.cfg.frame_size)
+            power = np.abs(conditioned_delta(modem, realization, domain,
+                                             s2).matrix) ** 2
+            acc = power if acc is None else acc + power
+        out[domain] = acc / n
+    return out
 
-    def test_averages_squared_magnitudes(self):
-        d1 = np.eye(4, dtype=complex)
-        d2 = np.zeros((4, 4), dtype=complex)
-        d2[0, 1] = 2.0
-        got = interference_map([d1, d2])
-        assert got[0, 0] == pytest.approx(0.5)
-        assert got[0, 1] == pytest.approx(2.0)
+
+MID_CHANNEL = ChannelConfig(n_paths=3, delay_max=8, doppler_max=1.0)
+
+
+class TestSirPass:
+
+    # More than 8 realizations, so a pool runs more than one chunk.
+    N_DRAWS = 10
+
+    @pytest.mark.parametrize("sigma2", [
+        {AFFINE: 1e-3, FILTERED: 1e-4}, {AFFINE: 0.0, FILTERED: 0.0}])
+    @pytest.mark.parametrize("scale", ["toy", "mid"])
+    def test_heatmaps_equal_the_two_pass_oracle(self, scale, sigma2,
+                                                toy_modem, mid_phydyas):
+        modem, chan = ((toy_modem, SMALL_CHANNEL) if scale == "toy"
+                       else (mid_phydyas, MID_CHANNEL))
+        got = sir_pass(modem, chan, sigma2, range(self.N_DRAWS), 41,
+                       heatmaps=True)
+        want = two_pass_maps(modem, chan, sigma2, self.N_DRAWS, 41)
+        assert list(got.heatmaps) == [AFFINE, FILTERED]
+        for domain in sigma2:
+            assert np.array_equal(got.heatmaps[domain], want[domain])
+            assert got.statistics[domain] == sir_statistics(
+                modem, chan, domain, self.N_DRAWS, 41,
+                sigma2=sigma2[domain])
+
+    def test_worker_count_does_not_change_heatmaps(self, toy_modem):
+        sigma2 = {AFFINE: 1e-3, FILTERED: 0.0}
+        a = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, range(self.N_DRAWS),
+                     5, heatmaps=True, workers=1)
+        b = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, range(self.N_DRAWS),
+                     5, heatmaps=True, workers=2)
+        assert a.statistics == b.statistics
+        for domain in sigma2:
+            assert np.array_equal(a.heatmaps[domain], b.heatmaps[domain])
+
+    def test_no_heatmaps_unless_asked(self, toy_modem):
+        got = sir_pass(toy_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(3),
+                       5)
+        assert got.heatmaps == {}
+        assert list(got.statistics) == [FILTERED]
+
+    @pytest.mark.parametrize("sigma2,indices,reason", [
+        ({AFFINE: 0.0}, [], "at least one realization"),
+        ({}, [0], "at least one domain")])
+    def test_rejects_empty_pass(self, toy_modem, sigma2, indices, reason):
+        with pytest.raises(ValueError, match=reason):
+            sir_pass(toy_modem, SMALL_CHANNEL, sigma2, indices, 5)
 
 
 class TestBerCurve:

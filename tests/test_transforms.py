@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from afbm.transforms import (ChirpParams, chirp_diag, chirp_phases,
+from afbm.transforms import (ChirpParams, chirp_phases,
                              check_daft_orthogonality_condition, daft_matrix,
                              default_c1, default_c2, dft_matrix,
                              expansion_matrix, grid_alignment_phases,
@@ -44,10 +44,6 @@ class TestChirpParams:
         assert np.allclose(np.abs(ph), 1.0)
         # quadratic argument: ratio of consecutive phases keeps changing
         assert not np.allclose(ph[1] / ph[0], ph[2] / ph[1])
-
-    def test_chirp_diag_consistency(self):
-        c, n = 0.02, 12
-        assert np.allclose(np.diag(chirp_diag(c, n)), chirp_phases(c, n))
 
 
 class TestDaftMatrix:
