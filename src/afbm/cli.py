@@ -36,6 +36,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
 import yaml
 
 from . import __version__
@@ -455,12 +456,57 @@ def _write_csv(path: str, report_header: str, header, rows):
             fh.write(",".join(_num(v) for v in row) + "\n")
 
 
+def _heatmap_rows(power: np.ndarray):
+    """The CSV text of each row of the 2-D map ``power``, one at a time.
+
+    Each cell is ``repr`` of its value.  A float64 map whose bits equal
+    its transpose's (every map :func:`afbm.metrics.sir_pass` makes) is
+    formatted from its upper triangle alone: row i formats
+    ``power[i, i:]`` and takes each cell left of the diagonal from the
+    text already made for its mirror, since equal bits give equal text.
+    Those pending texts stay one string per row, read by a cursor.
+    Float64 rows are formatted as ``repr`` of their list, whose items
+    never contain ``", "``, then split.  A map that is not bitwise
+    symmetric (``-0.0`` against ``0.0``, NaN payloads, not square)
+    formats every cell of every row; one of another dtype calls
+    ``repr`` per cell.
+    """
+    rows, cols = power.shape
+    template = "".join(f"@,{j},%s\n" for j in range(cols))
+    floats = power.dtype == np.float64
+    mirrored = floats and rows == cols and np.array_equal(
+        power.view(np.int64), power.T.view(np.int64))
+    texts, cursors = [], []
+    for i, row in enumerate(power):
+        values = row[i:].tolist() if mirrored else row.tolist()
+        if floats:
+            text = repr(values)[1:-1]
+            cells = text.split(", ") if values else []
+        else:
+            cells = [repr(v) for v in values]
+        if mirrored:
+            lower = []
+            for j, above in enumerate(texts):
+                start = cursors[j]
+                end = above.find(",", start)
+                if end < 0:
+                    end = len(above)
+                lower.append(above[start:end])
+                cursors[j] = end + 2
+            texts.append(text)
+            cursors.append(len(cells[0]) + 2)
+            cells = lower + cells
+        yield template.replace("@", str(i)) % tuple(cells)
+
+
 def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
     """One CSV per map in ``report.heatmaps``, formatted a row at a time.
 
     Each cell is written as ``repr`` of its float, the same text
     :func:`_num` gives, so the files match the per-cell writer byte for
-    byte.
+    byte.  The maps :func:`afbm.metrics.sir_pass` makes are exactly
+    Hermitian-symmetric, so each is formatted from its upper triangle
+    and every mirrored pair is formatted once (:func:`_heatmap_rows`).
     """
     written = []
     for (family, P, domain), power in report.heatmaps:
@@ -468,9 +514,8 @@ def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
         with _atomic_open(path) as fh:
             fh.write(stamp)
             fh.write("row,col,power\n")
-            for i, row in enumerate(power):
-                fh.write("".join(f"{i},{j},{v!r}\n"
-                                 for j, v in enumerate(row.tolist())))
+            for text in _heatmap_rows(power):
+                fh.write(text)
         written.append(path)
     return written
 

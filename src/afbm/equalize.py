@@ -64,11 +64,24 @@ class DeltaMatrix:
     domain: str
 
 
+_MIRROR_BLOCK = 64
+
+
 def _mirror_lower(a: np.ndarray) -> np.ndarray:
     """Copy the strict lower triangle of ``a`` conjugated onto the upper
-    one, in place, so ``a`` is exactly Hermitian."""
-    upper = np.triu_indices(a.shape[0], 1)
-    a[upper] = a.T[upper].conj()
+    one, in place, so ``a`` is exactly Hermitian.
+
+    Works in stripes of 64 rows: the panel right of each diagonal block
+    is copied from the panel below it as one slice assignment, and only
+    the diagonal block goes through triangle indices.
+    """
+    n = a.shape[0]
+    for i0 in range(0, n, _MIRROR_BLOCK):
+        i1 = min(i0 + _MIRROR_BLOCK, n)
+        a[i0:i1, i1:] = a[i1:, i0:i1].T.conj()
+        block = a[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        block[upper] = block.T[upper].conj()
     return a
 
 

@@ -280,7 +280,9 @@ def sir_statistics(modem: AfbmModem, chan: _channel.ChannelConfig,
     keyed by (seed, index), so results are reproducible bit-exactly
     and independent of worker scheduling.  ``sigma2`` is the operating
     noise power entering the equalizer; zero selects the zero-forcing
-    reading (with a relative ridge on rank-deficient draws).
+    reading, which always applies the relative ridge of
+    :func:`afbm.equalize.delta_from_gram` (1e-10 times the mean Gram
+    diagonal), on every draw.
 
     ``averaging`` selects how the average is formed: "linear" averages
     the SIR power ratios before converting to dB (energy-consistent),

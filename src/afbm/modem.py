@@ -352,8 +352,8 @@ class AfbmModem:
         float
             Noise variance per receive branch.
         """
-        if sigma2 < 0:
-            raise ValueError("noise power must be nonnegative")
+        if not sigma2 >= 0:
+            raise ValueError(f"noise variance must be >= 0, got {sigma2}")
         if domain == AFFINE:
             energy = np.sum(np.abs(self._tx_block) ** 2, axis=0)
         elif domain == FILTERED:

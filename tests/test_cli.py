@@ -1,4 +1,5 @@
 import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,40 @@ def _per_cell_heatmap(path, stamp, power):
                 fh.write(f"{i},{j},{cli._num(power[i, j])}\n")
 
 
+def _symmetric_map(n, seed, specials=()):
+    """A bitwise-symmetric map; ``specials`` fill row 0 from the diagonal
+    on and are mirrored down column 0."""
+    rng = np.random.default_rng(seed)
+    power = rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    power[0, :len(specials)] = specials
+    return np.where(np.tri(n, k=-1, dtype=bool), power.T, power)
+
+
+def _edge_maps():
+    tiny = np.finfo(float).tiny
+    specials = [0.0, 5e-324, tiny / 3, tiny, 1e-300, 1.0 / 3.0,
+                9999999999999998.0, 1e16, 1.2345678901234567e16,
+                np.finfo(float).max]
+    mirrored = _symmetric_map(12, 5, specials)
+    signed_zero = mirrored.copy()
+    signed_zero[3, 7], signed_zero[7, 3] = -0.0, 0.0
+    nan = mirrored.copy()
+    nan[4, 4] = nan[2, 9] = nan[9, 2] = np.nan
+    payload = nan.copy()
+    payload[9, 2] = -np.nan
+    return {"mirrored-specials": mirrored,
+            "signed-zero-pair": signed_zero,
+            "nan-mirrored": nan,
+            "nan-payloads-differ": payload,
+            "one-by-one": np.array([[0.1 + 0.2]]),
+            "empty": np.zeros((0, 0)),
+            "no-columns": np.zeros((3, 0)),
+            "wide": _symmetric_map(6, 9)[:4]}
+
+
+_EDGE_MAPS = _edge_maps()
+
+
 class TestHeatmapWriter:
 
     def test_rows_match_the_per_cell_writer(self, tmp_path):
@@ -461,6 +496,31 @@ class TestHeatmapWriter:
         assert got == (tmp_path / "per-cell.csv").read_bytes()
         assert os.path.basename(path) == "heatmap-hermite-P48-affine.csv"
         assert got.count(b"\n") == 2 + power.size
+
+    @staticmethod
+    def assert_matches_per_cell(out_dir, power):
+        report = replace(TestAtomicWrites().report(),
+                         heatmaps=((("hermite", 48, "affine"), power),))
+        stamp = "# afbm test spec=0123456789ab\n"
+        [path] = cli._write_heatmaps(report, str(out_dir), stamp)
+        want = os.path.join(out_dir, "per-cell.csv")
+        _per_cell_heatmap(want, stamp, power)
+        assert open(path, "rb").read() == open(want, "rb").read()
+
+    @pytest.mark.parametrize("name", sorted(_EDGE_MAPS))
+    def test_symmetric_and_edge_maps_match_the_per_cell_writer(
+            self, tmp_path, name):
+        self.assert_matches_per_cell(tmp_path, _EDGE_MAPS[name])
+
+    @given(st.integers(1, 24), st.integers(0, 2 ** 16),
+           st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_random_symmetric_maps_match_the_per_cell_writer(self, n, seed,
+                                                             specials):
+        with tempfile.TemporaryDirectory() as out:
+            self.assert_matches_per_cell(
+                out, _symmetric_map(n, seed, specials[:n]))
 
 
 class TestPresets:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from afbm.channel import (add_awgn, apply_channel, channel_matrix,
                           sample_channel, trial_stream)
-from afbm.equalize import (DeltaMatrix, _gram, conditioned_delta,
-                           delta_from_gram, delta_matrix, equalize_and_detect,
-                           mmse, mmse_detect)
+from afbm.equalize import (DeltaMatrix, _gram, _mirror_lower,
+                           conditioned_delta, delta_from_gram, delta_matrix,
+                           equalize_and_detect, mmse, mmse_detect)
 from afbm.modem import AFFINE, FILTERED, EffectiveChannel, qam_alphabet
 
 
@@ -217,6 +217,36 @@ class TestGram:
         assert np.array_equal(got, got.conj().T)
 
 
+def _mirror_by_indices(a):
+    """The mirror before it worked in stripes: one gather and scatter
+    through the strict upper triangle's indices."""
+    upper = np.triu_indices(a.shape[0], 1)
+    a[upper] = a.T[upper].conj()
+    return a
+
+
+class TestMirrorLower:
+
+    @given(st.integers(1, 200), st.sampled_from(["C", "F", "F.T"]),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_match_the_index_mirror(self, n, layout, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # Signed zeros and NaN, so the comparison sees every bit.
+        x.flat[rng.integers(0, n * n, 3)] = [-0.0, 0.0 - 0.0j, np.nan]
+        make = {"C": lambda m: np.array(m, order="C"),
+                "F": lambda m: np.array(m, order="F"),
+                # zherk and zpotri return Fortran arrays, and _gram and
+                # delta_from_gram mirror their transposed views.
+                "F.T": lambda m: np.array(m.T, order="F").T}[layout]
+        got, want = make(x), make(x)
+        assert _mirror_lower(got) is got
+        _mirror_by_indices(want)
+        bits = [np.ascontiguousarray(m).view(np.int64) for m in (got, want)]
+        assert np.array_equal(*bits)
+
+
 class TestConditionedDelta:
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
@@ -325,10 +355,14 @@ class TestNoiseRefusal:
 
     @pytest.mark.parametrize("sigma2", [np.nan, -1e-3, -np.inf])
     @pytest.mark.parametrize("solver", ["delta_from_gram", "mmse",
-                                        "mmse_detect", "add_awgn"])
-    def test_nan_and_negative_noise_refused(self, solver, sigma2, rng):
+                                        "mmse_detect", "add_awgn",
+                                        "received_noise_power"])
+    def test_nan_and_negative_noise_refused(self, solver, sigma2, rng,
+                                            toy_modem):
         heff = random_heff(4, rng)
         call = {
+            "received_noise_power": lambda: toy_modem.received_noise_power(
+                AFFINE, sigma2),
             "delta_from_gram": lambda: delta_from_gram(
                 _gram(heff.matrix), sigma2),
             "mmse": lambda: mmse(heff, sigma2),

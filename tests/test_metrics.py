@@ -157,6 +157,22 @@ class TestSirPass:
                 modem, chan, domain, self.N_DRAWS, 41,
                 sigma2=sigma2[domain])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("sigma2", [
+        {AFFINE: 1e-3, FILTERED: 1e-4}, {AFFINE: 0.0, FILTERED: 0.0}])
+    @pytest.mark.parametrize("scale", ["toy", "mid"])
+    def test_heatmaps_are_bitwise_symmetric(self, scale, sigma2, workers,
+                                            toy_modem, mid_phydyas):
+        # The heatmap writer formats only the upper triangle of a map
+        # whose bits equal its transpose's.
+        modem, chan = ((toy_modem, SMALL_CHANNEL) if scale == "toy"
+                       else (mid_phydyas, MID_CHANNEL))
+        got = sir_pass(modem, chan, sigma2, range(self.N_DRAWS), 7,
+                       heatmaps=True, workers=workers)
+        for domain in sigma2:
+            bits = got.heatmaps[domain].view(np.int64)
+            assert np.array_equal(bits, bits.T)
+
     def test_worker_count_does_not_change_heatmaps(self, toy_modem):
         sigma2 = {AFFINE: 1e-3, FILTERED: 0.0}
         a = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, range(self.N_DRAWS),
