@@ -12,14 +12,13 @@ __version__ = "0.3.0"
 from .channel import (ChannelConfig, ChannelRealization, PathSpec,
                       add_awgn, apply_channel, channel_matrix,
                       sample_channel, trial_stream)
-from .equalize import (DeltaMatrix, Equalizer, conditioned_delta,
-                       delta_from_gram, delta_matrix, equalize_and_detect,
-                       mmse)
+from .equalize import (Equalizer, delta_from_gram, delta_matrix,
+                       equalize_and_detect, mmse)
 from .filters import (PrototypeFilter, custom_prototype, hermite_prototype,
                       phydyas_prototype)
 from .metrics import (BerPoint, ConditionedSir, SirPass, SirStatistics,
                       WaveformSir, ber_curve, sir_conditioned, sir_pass,
-                      sir_statistics, sir_waveform)
+                      sir_waveform)
 from .modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
                     ModulationConfig, design_config, qam_alphabet,
                     qam_demap, qam_map)
@@ -28,14 +27,14 @@ from .transforms import (ChirpParams, daft_matrix, default_c1, default_c2,
 
 __all__ = [
     "AFFINE", "FILTERED", "AfbmModem", "BerPoint", "ChannelConfig",
-    "ChannelRealization", "ChirpParams", "ConditionedSir", "DeltaMatrix",
+    "ChannelRealization", "ChirpParams", "ConditionedSir",
     "EffectiveChannel", "Equalizer", "ModulationConfig", "PathSpec",
     "PrototypeFilter", "SirPass", "SirStatistics", "WaveformSir",
     "add_awgn", "apply_channel", "ber_curve", "channel_matrix",
-    "conditioned_delta", "custom_prototype", "daft_matrix", "default_c1",
-    "default_c2", "delta_from_gram", "delta_matrix", "design_config",
-    "dft_matrix", "equalize_and_detect", "hermite_prototype", "mmse",
+    "custom_prototype", "daft_matrix", "default_c1", "default_c2",
+    "delta_from_gram", "delta_matrix", "design_config", "dft_matrix",
+    "equalize_and_detect", "hermite_prototype", "mmse",
     "phydyas_prototype", "pruned_daft", "qam_alphabet", "qam_demap",
     "qam_map", "sample_channel", "sir_conditioned", "sir_pass",
-    "sir_statistics", "sir_waveform", "synthesis_block", "trial_stream",
+    "sir_waveform", "synthesis_block", "trial_stream",
 ]

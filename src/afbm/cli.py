@@ -42,8 +42,8 @@ import yaml
 from . import __version__
 from .channel import ChannelConfig
 from .metrics import ber_curve, sir_pass, sir_waveform
-from .modem import (AFFINE, FILTERED, AfbmModem, design_config,
-                    qam_alphabet)
+from .modem import (_DEFAULT_OVERLAP, AFFINE, FILTERED, AfbmModem,
+                    design_config, qam_alphabet)
 from .transforms import check_daft_orthogonality_condition
 
 __all__ = [
@@ -151,20 +151,22 @@ def _spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def _spec_from_dict(doc: dict) -> ExperimentSpec:
-    known = {"kind", "seed", "output", "modulation", "channel", "domains",
-             "realizations", "sigma2", "averaging", "snr_db", "trials",
-             "min_bit_errors", "qam_order", "emit_heatmap"}
-    unknown = set(doc) - known
+    defaults = ExperimentSpec(kind=str(doc.get("kind", "")))
+    known = _spec_to_dict(defaults)
+    unknown = sorted(set(doc) - set(known))
+    mod, chan = doc.get("modulation", {}), doc.get("channel", {})
+    for name, section in (("modulation", mod), ("channel", chan)):
+        if not isinstance(section, dict):
+            raise ValueError(f"{name} must be a mapping")
+        unknown += sorted(f"{name}.{key}"
+                          for key in set(section) - set(known[name]))
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    mod = doc.get("modulation", {})
-    chan = doc.get("channel", {})
+        raise ValueError(f"unknown config keys: {unknown}")
     sigma2 = doc.get("sigma2", 0.0)
     if isinstance(sigma2, dict):
         pairs = tuple(sorted((str(k), float(v)) for k, v in sigma2.items()))
     else:
         pairs = ((AFFINE, float(sigma2)), (FILTERED, float(sigma2)))
-    defaults = ExperimentSpec(kind=str(doc.get("kind", "")))
     return ExperimentSpec(
         kind=str(doc.get("kind", "")),
         L=int(mod.get("L", defaults.L)),
@@ -303,7 +305,16 @@ def validate(spec: ExperimentSpec) -> list[str]:
     except ValueError as err:
         out.append(str(err))
 
-    for family, P in spec.scenarios():
+    # design_config divides by L and P and has defaults for two families
+    # only, so no scenario is designed while either is bad.
+    unbuildable = [f"{name} must be positive, got {value}"
+                   for name, value in [("L", spec.L)]
+                   + [("P", p) for p in spec.P] if value < 1]
+    unbuildable += [f"filter must be one of {sorted(_DEFAULT_OVERLAP)}, "
+                    f"got {family!r}" for family in spec.filters
+                    if family not in _DEFAULT_OVERLAP]
+    out += unbuildable
+    for family, P in [] if unbuildable else spec.scenarios():
         cfg = design_config(spec.L, spec.K, spec.N, P, family,
                             f_max=spec.doppler_max, xi=spec.xi)
         for problem in cfg.violations():

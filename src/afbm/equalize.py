@@ -11,10 +11,12 @@ equations for the one received vector and never forms the equalizer.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against; the SIR hot path is
-:func:`delta_from_gram`, which reads Delta = I - r (G + r I)^-1 from a
-single Cholesky inverse.  At zero noise r is always a relative ridge of
-1e-10 times the mean Gram diagonal, so a zero-forcing Delta is set by
-that one stated regularizer, not by roundoff.  The fast paths form the
+:func:`delta_from_gram` of the Gram :func:`_gram` forms, which reads
+Delta = I - r (G + r I)^-1 from a single Cholesky inverse.  Either
+path returns Delta as a plain square array.  At zero noise r is always
+a relative ridge of 1e-10 times the mean Gram diagonal, so a
+zero-forcing Delta is set by that one stated regularizer, not by
+roundoff.  The fast paths form the
 Gram Heff^H Heff through :func:`_gram` and the inverse through
 ``zpotri``, each on one triangle mirrored exactly Hermitian; the oracle
 keeps the plain product and the solve.
@@ -32,9 +34,7 @@ import scipy.linalg.lapack
 from .modem import EffectiveChannel
 
 __all__ = [
-    "DeltaMatrix",
     "Equalizer",
-    "conditioned_delta",
     "delta_from_gram",
     "delta_matrix",
     "equalize_and_detect",
@@ -50,18 +50,6 @@ class Equalizer:
     matrix: np.ndarray
     domain: str
     noise_var: float
-
-
-@dataclass(frozen=True, eq=False)
-class DeltaMatrix:
-    """Square payload-to-payload matrix after equalization.
-
-    The identity on the diagonal means perfect restoration; everything
-    off the diagonal (and any diagonal deficit) is interference.
-    """
-
-    matrix: np.ndarray
-    domain: str
 
 
 _MIRROR_BLOCK = 64
@@ -128,12 +116,16 @@ def mmse(heff: EffectiveChannel, sigma2: float) -> Equalizer:
     return Equalizer(E, heff.domain, float(sigma2))
 
 
-def delta_matrix(eq: Equalizer, heff: EffectiveChannel) -> DeltaMatrix:
-    """End-to-end payload matrix Delta = E Heff of one realization."""
+def delta_matrix(eq: Equalizer, heff: EffectiveChannel) -> np.ndarray:
+    """End-to-end payload matrix Delta = E Heff of one realization.
+
+    The identity on the diagonal means perfect restoration; everything
+    off the diagonal (and any diagonal deficit) is interference.
+    """
     if eq.domain != heff.domain:
         raise ValueError(f"equalizer domain {eq.domain!r} does not match "
                          f"effective channel domain {heff.domain!r}")
-    return DeltaMatrix(eq.matrix @ heff.matrix, eq.domain)
+    return eq.matrix @ heff.matrix
 
 
 def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
@@ -172,12 +164,6 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     delta *= -r
     delta[np.diag_indices(n)] += 1.0
     return delta
-
-
-def conditioned_delta(modem, H, domain: str, sigma2: float) -> DeltaMatrix:
-    """Build the domain's effective channel for H and return its Delta."""
-    gram = _gram(modem.effective_channel(H, domain).matrix)
-    return DeltaMatrix(delta_from_gram(gram, sigma2), domain)
 
 
 def _received_vector(received: np.ndarray, rows: int) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "ber_curve",
     "sir_conditioned",
     "sir_pass",
-    "sir_statistics",
     "sir_waveform",
 ]
 
@@ -122,14 +121,13 @@ def sir_waveform(modem: AfbmModem) -> WaveformSir:
     return WaveformSir(10.0 * np.log10(d / denominator), False)
 
 
-def sir_conditioned(delta) -> ConditionedSir:
-    """Conditioned SIR of a square end-to-end matrix (or DeltaMatrix)."""
-    matrix = getattr(delta, "matrix", delta)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"delta must be square, got {matrix.shape}")
-    d = matrix.shape[0]
-    fro2 = np.linalg.norm(matrix, "fro") ** 2
-    diag2 = float(np.sum(np.abs(np.diag(matrix)) ** 2))
+def sir_conditioned(delta: np.ndarray) -> ConditionedSir:
+    """Conditioned SIR of a square end-to-end matrix Delta."""
+    if delta.shape[0] != delta.shape[1]:
+        raise ValueError(f"delta must be square, got {delta.shape}")
+    d = delta.shape[0]
+    fro2 = np.linalg.norm(delta, "fro") ** 2
+    diag2 = float(np.sum(np.abs(np.diag(delta)) ** 2))
     off2 = max(fro2 - diag2, 0.0)
 
     nominal_den = fro2 - d
@@ -232,8 +230,18 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     both its SIR sample and its |Delta|^2.  Results are folded in index
     order (``acc + power``, then ``/ count``), whether they come from
     this process or from workers handed fixed chunks of 8 indices, so
-    the output does not depend on ``workers``.  Memory is one n x n
-    accumulator per domain, not one Delta per realization.
+    the output is reproducible bit-exactly and does not depend on
+    ``workers``.  Memory is one n x n accumulator per domain, not one
+    Delta per realization.
+
+    A noise power of zero selects the zero-forcing reading, which
+    always applies the relative ridge of
+    :func:`afbm.equalize.delta_from_gram` (1e-10 times the mean Gram
+    diagonal), on every draw.  ``averaging`` selects how each average
+    is formed: "linear" averages the SIR power ratios before converting
+    to dB (energy-consistent), "db" averages the dB values themselves,
+    which matches how published tables are usually aggregated.
+    Extremes are reported in dB either way.
     """
     indices = list(indices)
     if not indices:
@@ -268,35 +276,6 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
                     for d, c in conditioned.items()},
         heatmaps={d: a / len(indices) for d, a in acc.items()}
         if heatmaps else {})
-
-
-def sir_statistics(modem: AfbmModem, chan: _channel.ChannelConfig,
-                   domain: str, n_realizations: int, seed: int,
-                   sigma2: float = 0.0, averaging: str = "linear",
-                   workers: int = 1) -> SirStatistics:
-    """Conditioned SIR of one domain over freshly drawn channels.
-
-    Each realization draws its channel from an independent stream
-    keyed by (seed, index), so results are reproducible bit-exactly
-    and independent of worker scheduling.  ``sigma2`` is the operating
-    noise power entering the equalizer; zero selects the zero-forcing
-    reading, which always applies the relative ridge of
-    :func:`afbm.equalize.delta_from_gram` (1e-10 times the mean Gram
-    diagonal), on every draw.
-
-    ``averaging`` selects how the average is formed: "linear" averages
-    the SIR power ratios before converting to dB (energy-consistent),
-    "db" averages the dB values themselves, which matches how
-    published tables are usually aggregated.  Extremes are reported in
-    dB either way.  This is :func:`sir_pass` for one domain without
-    heatmaps.
-    """
-    if n_realizations < 1:
-        raise ValueError(f"need at least one realization, "
-                         f"got {n_realizations}")
-    return sir_pass(modem, chan, {domain: sigma2}, range(n_realizations),
-                    seed, averaging=averaging,
-                    workers=workers).statistics[domain]
 
 
 # ------------------------------------------------------------------ BER curve

@@ -20,9 +20,10 @@ is propagated over its own support (its span plus the largest delay,
 wrapping cyclically) and projected onto the receive windows it
 overlaps, so the mostly-zero dense transmit matrix is never formed.
 The affine projection is the transmit block's adjoint; the filtered
-one weights by the taps and folds.  A dense frame-size-square matrix
-takes the dense oracle path instead, H applied to the modulation
-matrix S and projected by S^H or the dense filter bank.
+one weights by the taps and folds.  Effective channels take channel
+realizations only; the dense matrices they are checked against
+(:meth:`AfbmModem.modulation_matrix`, :meth:`AfbmModem.filter_matrix`
+around :func:`afbm.channel.channel_matrix`) are oracles.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import channel as _channel
 from .filters import (PrototypeFilter, block_toeplitz, hermite_prototype,
-                      phydyas_prototype, single_symbol_matrix)
+                      phydyas_prototype)
 from .transforms import (ChirpParams, daft_matrix, default_c1, default_c2,
                          synthesis_block)
 
@@ -162,10 +163,6 @@ class EffectiveChannel:
     def __post_init__(self):
         if self.domain not in (AFFINE, FILTERED):
             raise ValueError(f"unknown domain {self.domain!r}")
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.matrix.shape
 
 
 def active_indices(L: int) -> np.ndarray:
@@ -387,13 +384,6 @@ class AfbmModem:
 
     # ------------------------------------------------------ effective channels
 
-    def _dense_propagated(self, H: np.ndarray) -> np.ndarray:
-        """Dense oracle: H applied to every column of the modulation matrix."""
-        if H.shape != (self.cfg.frame_size,) * 2:
-            raise ValueError(f"channel matrix must be "
-                             f"{self.cfg.frame_size} square, got {H.shape}")
-        return H @ self.modulation_matrix()
-
     def _propagated_pieces(self, c: _channel.ChannelRealization):
         """Each symbol's transmit block propagated through ``c``, cut at
         the receive windows.
@@ -409,6 +399,9 @@ class AfbmModem:
         Yields (k, j, lo, hi, piece): ``piece`` is the strip of symbol k
         on rows [lo, hi) of receive window j, window-relative.
         """
+        if not isinstance(c, _channel.ChannelRealization):
+            raise TypeError(f"effective channels take a ChannelRealization, "
+                            f"got {type(c).__name__}")
         cfg = self.cfg
         M, h = cfg.frame_size, cfg.N // 2
         span, width = self._tx_block.shape
@@ -436,65 +429,48 @@ class AfbmModem:
                         yield (k, j, lo - w0, hi - w0,
                                strip[offset + lo - a:offset + hi - a])
 
-    def effective_channel_affine(self, H) -> EffectiveChannel:
+    def effective_channel_affine(self, c) -> EffectiveChannel:
         """Payload-to-payload matrix seen by affine-domain detection.
 
-        ``H`` may be a dense frame_size-square matrix (the oracle,
-        H @ S projected by S^H) or a channel realization, propagated
-        symbol by symbol and projected window by window with the
-        per-symbol block's adjoint.  The result is the matched receive
-        chain composed with the propagated transmit chain, restricted to
-        payload coordinates on both sides.
+        The matched receive chain composed with the transmit chain
+        propagated through the channel realization ``c``, restricted to
+        payload coordinates on both sides: each symbol is propagated on
+        its own support and projected window by window with the
+        per-symbol block's adjoint.  Anything else raises TypeError.
         """
-        if isinstance(H, np.ndarray):
-            return EffectiveChannel(
-                self.modulation_matrix().conj().T @ self._dense_propagated(H),
-                AFFINE)
         w = self._tx_block.shape[1]
         adjoint = self._tx_block.conj().T
         out = np.zeros((self.cfg.payload_size,) * 2, dtype=complex)
-        for k, j, lo, hi, piece in self._propagated_pieces(H):
+        for k, j, lo, hi, piece in self._propagated_pieces(c):
             out[j * w:(j + 1) * w, k * w:(k + 1) * w] += \
                 adjoint[:, lo:hi] @ piece
         return EffectiveChannel(out, AFFINE)
 
-    def effective_channel_filtered(self, H) -> EffectiveChannel:
+    def effective_channel_filtered(self, c) -> EffectiveChannel:
         """Payload-to-filtered-grid matrix seen by filtered-domain detection.
 
         Rows live on the NK-point receive bank output; columns are the
         payload coordinates.  With an identity channel this matrix is
-        a near isometry.  ``H`` is a dense matrix (the oracle) or a
-        channel realization, handled symbol by symbol as in
+        a near isometry.  ``c`` is propagated symbol by symbol as in
         :meth:`effective_channel_affine`.
         """
         cfg = self.cfg
-        shape = (cfg.N * cfg.K, cfg.payload_size)
-        if isinstance(H, np.ndarray):
-            HS = self._dense_propagated(H)
-            bank_t = (self._bank_gain
-                      * single_symbol_matrix(self.prototype)).T
-            span, h = bank_t.shape[1], cfg.N // 2
-            out = np.empty(shape, dtype=complex)
-            for k in range(cfg.K):
-                window = HS[k * h:k * h + span]
-                out[k * cfg.N:(k + 1) * cfg.N] = bank_t @ window
-            return EffectiveChannel(out, FILTERED)
         # The taps are real, so they weight the interleaved real/imaginary
         # float view of each strip, which then folds onto the window grid.
-        out = np.zeros(shape, dtype=complex)
+        out = np.zeros((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
         flat = out.view(float)
         w2 = 2 * self._tx_block.shape[1]
-        for k, j, lo, hi, piece in self._propagated_pieces(H):
+        for k, j, lo, hi, piece in self._propagated_pieces(c):
             self._fold(self._taps[lo:hi, None] * piece.view(float), lo,
                        flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2])
         return EffectiveChannel(out, FILTERED)
 
-    def effective_channel(self, H, domain: str) -> EffectiveChannel:
-        """The effective channel of ``H`` in detection domain ``domain``."""
+    def effective_channel(self, c, domain: str) -> EffectiveChannel:
+        """The effective channel of realization ``c`` in domain ``domain``."""
         if domain == AFFINE:
-            return self.effective_channel_affine(H)
+            return self.effective_channel_affine(c)
         if domain == FILTERED:
-            return self.effective_channel_filtered(H)
+            return self.effective_channel_filtered(c)
         raise ValueError(f"unknown domain {domain!r}")
 
 

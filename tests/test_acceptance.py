@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 from afbm import (AFFINE, FILTERED, AfbmModem, ChannelConfig, ChirpParams,
-                  DeltaMatrix, apply_channel, ber_curve, channel_matrix,
-                  conditioned_delta, daft_matrix, design_config,
-                  sample_channel, sir_conditioned, sir_statistics,
-                  sir_waveform, trial_stream)
+                  apply_channel, ber_curve, channel_matrix, daft_matrix,
+                  delta_from_gram, design_config, sample_channel,
+                  sir_conditioned, sir_pass, sir_waveform, trial_stream)
 from afbm.cli import PRESETS, run
+from afbm.equalize import _gram
 from afbm.modem import mapping_matrix
 
 # Reference SIR averages (dB) the statistical run reproduces to +-3 dB.
@@ -195,8 +195,9 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
     zf_channel = sample_channel(2, 4, 0.5, trial_stream(20250819, 0),
                                 size=small.cfg.frame_size)
     for domain in (AFFINE, FILTERED):
-        delta = conditioned_delta(small, zf_channel, domain, 0.0)
-        if np.abs(delta.matrix - np.eye(16)).max() >= 1e-6:
+        h = small.effective_channel(zf_channel, domain).matrix
+        delta = delta_from_gram(_gram(h), 0.0)
+        if np.abs(delta - np.eye(16)).max() >= 1e-6:
             failures.append(f"zero-forcing restoration ({domain})")
 
     sparse_channel = sample_channel(3, 6, 1.0, trial_stream(5, 1), size=64)
@@ -207,17 +208,17 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
         failures.append("sparse-vs-dense channel application")
 
     S = mid_hermite.modulation_matrix()
-    identity_delta = DeltaMatrix(S.conj().T @ S, AFFINE)
+    identity_delta = S.conj().T @ S
     waveform_db = sir_waveform(mid_hermite).value_db
     conditioned_db = sir_conditioned(identity_delta).diagonal_db
     if abs(waveform_db - conditioned_db) >= 0.1:
         failures.append("waveform-vs-conditioned identity consistency")
 
     chan = ChannelConfig(2, 4, 0.5)
-    first = sir_statistics(small, chan, AFFINE, 6, 77,
-                           sigma2=0.01, averaging="db")
-    second = sir_statistics(small, chan, AFFINE, 6, 77,
-                            sigma2=0.01, averaging="db")
+    first = sir_pass(small, chan, {AFFINE: 0.01}, range(6), 77,
+                     averaging="db").statistics[AFFINE]
+    second = sir_pass(small, chan, {AFFINE: 0.01}, range(6), 77,
+                      averaging="db").statistics[AFFINE]
     if first.samples_db != second.samples_db or \
             first.average_db != second.average_db:
         failures.append("SIR replay")

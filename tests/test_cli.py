@@ -54,8 +54,18 @@ class TestSpecSerialization:
         assert spec.sigma2_for("filtered") == 0.01
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            parse_spec("kind: ber\nsnr: [1]\n")
+        for text, reason in (
+                ("kind: ber\nsnr: [1]\n", "unknown config keys: ['snr']"),
+                ("kind: ber\nmodulation: {filters: [phydyas], Ll: 64}\n",
+                 "unknown config keys: ['modulation.Ll', "
+                 "'modulation.filters']"),
+                ("kind: ber\nchannel: {paths: 2, delay: 4}\n",
+                 "unknown config keys: ['channel.delay']"),
+                ("kind: ber\nmodulation: 5\n", "modulation must be a mapping"),
+                ("kind: ber\nchannel:\n", "channel must be a mapping")):
+            with pytest.raises(ValueError) as err:
+                parse_spec(text)
+            assert str(err.value) == reason
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError):
@@ -185,6 +195,11 @@ class TestValidate:
          "kind: sir-waveform\nemit_heatmap: true",
          "emit_heatmap applies to sir-channel only; 'sir-waveform' writes "
          "no heatmap"),
+        (SMALL_SIR, "L: 32", "L: 0", "L must be positive, got 0"),
+        (SMALL_SIR, "L: 32", "L: -4", "L must be positive, got -4"),
+        (SMALL_BER, "P: [48]", "P: [0]", "P must be positive, got 0"),
+        (SMALL_SIR, "filter: [hermite]", "filter: [gauss]",
+         "filter must be one of ['hermite', 'phydyas'], got 'gauss'"),
     ])
     def test_bad_values_refused_before_compute(self, base, old, new, reason,
                                                monkeypatch):
@@ -252,6 +267,14 @@ class TestMainAndOutputs:
 
     def test_unknown_preset_rejected(self):
         assert main(["ber", "--preset", "nonexistent"]) == 2
+
+    def test_malformed_section_rejected(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, SMALL_BER.replace(
+            "modulation: {L: 32, K: 4, N: 64, P: [48], filter: [hermite]}",
+            "modulation: 5"))
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == \
+            "error: modulation must be a mapping\n"
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_SIR)
@@ -541,6 +564,15 @@ class TestPresets:
         spec = PRESETS["waveform-sweep"]
         assert spec.kind == "sir-waveform"
         assert max(spec.P) == spec.N
+
+    def test_fingerprints_are_pinned(self):
+        # Output file names and every CSV's stamp line carry these.
+        assert {name: spec_fingerprint(spec)
+                for name, spec in PRESETS.items()} == {
+            "waveform-sweep": "791f831a0847",
+            "channel-stats": "da8f22d4433d",
+            "ber-curves": "ba075e3731db",
+        }
 
     def test_ber_preset_grid(self):
         spec = PRESETS["ber-curves"]

@@ -4,11 +4,10 @@ import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afbm.channel import (add_awgn, apply_channel, channel_matrix,
-                          sample_channel, trial_stream)
-from afbm.equalize import (DeltaMatrix, _gram, _mirror_lower,
-                           conditioned_delta, delta_from_gram, delta_matrix,
-                           equalize_and_detect, mmse, mmse_detect)
+from afbm.channel import add_awgn, apply_channel, sample_channel, trial_stream
+from afbm.equalize import (_gram, _mirror_lower, delta_from_gram,
+                           delta_matrix, equalize_and_detect, mmse,
+                           mmse_detect)
 from afbm.modem import AFFINE, FILTERED, EffectiveChannel, qam_alphabet
 
 
@@ -66,8 +65,7 @@ class TestDelta:
         heff = random_heff(10, rng)
         eq = mmse(heff, 0.02)
         delta = delta_matrix(eq, heff)
-        assert isinstance(delta, DeltaMatrix)
-        assert np.allclose(delta.matrix, eq.matrix @ heff.matrix)
+        assert np.allclose(delta, eq.matrix @ heff.matrix)
 
     def test_domain_mismatch_rejected(self, rng):
         eq = mmse(random_heff(6, rng, AFFINE), 0.1)
@@ -119,7 +117,7 @@ class TestDeltaFromInverse:
         ch = sample_channel(3, min(16, M - 1), 2.0, trial_stream(seed, 0),
                             size=M)
         heff = modem.effective_channel(ch, domain)
-        want = delta_matrix(mmse(heff, sigma2), heff).matrix
+        want = delta_matrix(mmse(heff, sigma2), heff)
         gram = _gram(heff.matrix)
         got = delta_from_gram(gram, sigma2)
         n = gram.shape[0]
@@ -178,7 +176,8 @@ class TestDeltaFromInverse:
         ch = sample_channel(3, 16, 2.0, trial_stream(20250819, 0),
                             size=mid_hermite.cfg.frame_size)
         for domain in (AFFINE, FILTERED):
-            conditioned_delta(mid_hermite, ch, domain, 0.0)
+            h = mid_hermite.effective_channel(ch, domain).matrix
+            delta_from_gram(_gram(h), 0.0)
         assert factorizations == [(256, 256)] * 2
 
     @pytest.mark.parametrize("sigma2,r", [(0.0, "-1e-10"), (0.5, "0.5")])
@@ -245,31 +244,6 @@ class TestMirrorLower:
         _mirror_by_indices(want)
         bits = [np.ascontiguousarray(m).view(np.int64) for m in (got, want)]
         assert np.array_equal(*bits)
-
-
-class TestConditionedDelta:
-
-    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
-    def test_matches_manual_composition(self, toy_modem, domain):
-        ch = sample_channel(2, 4, 0.5, trial_stream(17, 0))
-        H = channel_matrix(ch, size=toy_modem.cfg.frame_size)
-        build = (toy_modem.effective_channel_affine if domain == AFFINE
-                 else toy_modem.effective_channel_filtered)
-        heff = build(H)
-        want = delta_matrix(mmse(heff, 0.01), heff).matrix
-        got = conditioned_delta(toy_modem, ch, domain, 0.01)
-        assert got.domain == domain
-        assert np.abs(got.matrix - want).max() < 1e-8
-
-    def test_square_in_both_domains(self, toy_modem):
-        ch = sample_channel(2, 4, 0.5, trial_stream(17, 1))
-        for domain in (AFFINE, FILTERED):
-            d = conditioned_delta(toy_modem, ch, domain, 1e-3).matrix
-            assert d.shape == (8, 8)
-
-    def test_unknown_domain_rejected(self, toy_modem):
-        with pytest.raises(ValueError):
-            conditioned_delta(toy_modem, np.eye(32), "dual", 0.0)
 
 
 class TestDetection:

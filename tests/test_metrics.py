@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from afbm.channel import ChannelConfig, sample_channel, trial_stream
-from afbm.equalize import DeltaMatrix, conditioned_delta
+from afbm.equalize import _gram, delta_from_gram
 from afbm.filters import custom_prototype
 from afbm.metrics import (BerPoint, ber_curve, sir_conditioned, sir_pass,
-                          sir_statistics, sir_waveform)
+                          sir_waveform)
 from afbm.modem import AFFINE, FILTERED, AfbmModem, design_config
 
 
@@ -64,55 +64,51 @@ class TestConditionedSir:
         assert np.isinf(got.nominal_db)     # no off-diagonal energy at all
         assert got.value_db == got.diagonal_db
 
-    def test_accepts_delta_wrapper(self):
-        delta = np.eye(8, dtype=complex)
-        delta[2, 3] = 0.5
-        a = sir_conditioned(delta)
-        b = sir_conditioned(DeltaMatrix(delta, AFFINE))
-        assert a == b
-
 
 class TestSirStatistics:
+    """One domain's statistics, as ``sir_pass(...).statistics[domain]``."""
 
     def test_replay_is_bit_exact(self, small_modem):
-        kw = dict(sigma2=1e-3, averaging="linear", workers=1)
-        a = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 6, 303, **kw)
-        b = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 6, 303, **kw)
+        kw = dict(averaging="linear", workers=1)
+        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(6),
+                     303, **kw).statistics[AFFINE]
+        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(6),
+                     303, **kw).statistics[AFFINE]
         assert a == b
 
     def test_seed_changes_samples(self, small_modem):
-        a = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 4, 1,
-                           sigma2=1e-3)
-        b = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 4, 2,
-                           sigma2=1e-3)
+        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(4),
+                     1).statistics[AFFINE]
+        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(4),
+                     2).statistics[AFFINE]
         assert a.samples_db != b.samples_db
 
     def test_extremes_bracket_average(self, small_modem):
-        st = sir_statistics(small_modem, SMALL_CHANNEL, FILTERED, 8, 99,
-                            sigma2=1e-4)
+        st = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-4}, range(8),
+                      99).statistics[FILTERED]
         assert st.minimum_db <= st.average_db <= st.maximum_db
         assert st.realizations == len(st.samples_db) == 8
 
     def test_db_averaging_sits_below_linear(self, small_modem):
-        lin = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 10, 7,
-                             sigma2=1e-3, averaging="linear")
-        db = sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 10, 7,
-                            sigma2=1e-3, averaging="db")
+        lin = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(10),
+                       7, averaging="linear").statistics[AFFINE]
+        db = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(10),
+                      7, averaging="db").statistics[AFFINE]
         assert db.samples_db == lin.samples_db
         assert db.average_db < lin.average_db
 
     def test_worker_count_does_not_change_results(self, small_modem):
-        kw = dict(sigma2=1e-3, averaging="db")
-        a = sir_statistics(small_modem, SMALL_CHANNEL, FILTERED, 6, 17,
-                           workers=1, **kw)
-        b = sir_statistics(small_modem, SMALL_CHANNEL, FILTERED, 6, 17,
-                           workers=2, **kw)
+        kw = dict(averaging="db")
+        a = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
+                     17, workers=1, **kw).statistics[FILTERED]
+        b = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
+                     17, workers=2, **kw).statistics[FILTERED]
         assert a == b
 
     def test_rejects_unknown_averaging(self, small_modem):
         with pytest.raises(ValueError):
-            sir_statistics(small_modem, SMALL_CHANNEL, AFFINE, 2, 0,
-                           averaging="median")
+            sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 0.0}, range(2), 0,
+                     averaging="median")
 
 
 def two_pass_maps(modem, chan, sigma2, n, seed):
@@ -125,8 +121,8 @@ def two_pass_maps(modem, chan, sigma2, n, seed):
             realization = sample_channel(
                 chan.n_paths, chan.delay_max, chan.doppler_max,
                 trial_stream(seed, index), size=modem.cfg.frame_size)
-            power = np.abs(conditioned_delta(modem, realization, domain,
-                                             s2).matrix) ** 2
+            h = modem.effective_channel(realization, domain).matrix
+            power = np.abs(delta_from_gram(_gram(h), s2)) ** 2
             acc = power if acc is None else acc + power
         out[domain] = acc / n
     return out
@@ -153,9 +149,9 @@ class TestSirPass:
         assert list(got.heatmaps) == [AFFINE, FILTERED]
         for domain in sigma2:
             assert np.array_equal(got.heatmaps[domain], want[domain])
-            assert got.statistics[domain] == sir_statistics(
-                modem, chan, domain, self.N_DRAWS, 41,
-                sigma2=sigma2[domain])
+            alone = sir_pass(modem, chan, {domain: sigma2[domain]},
+                             range(self.N_DRAWS), 41)
+            assert got.statistics[domain] == alone.statistics[domain]
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("sigma2", [
