@@ -43,7 +43,7 @@ from . import __version__
 from .channel import ChannelConfig
 from .metrics import ber_curve, sir_pass, sir_waveform
 from .modem import (_DEFAULT_OVERLAP, AFFINE, FILTERED, AfbmModem,
-                    design_config, qam_alphabet)
+                    _default_prototype, design_config, qam_alphabet)
 from .transforms import check_daft_orthogonality_condition
 
 __all__ = [
@@ -119,10 +119,16 @@ class ExperimentReport:
 # ------------------------------------------------------------- serialization
 
 
-def _as_tuple(value, cast):
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return (cast(value),)
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _cast(key: str, value, cast):
+    """cast(value), refused with the config key named when it fails."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be {_TYPE_NAMES[cast]}, "
+                         f"got {value!r}") from None
 
 
 def _spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -162,34 +168,47 @@ def _spec_from_dict(doc: dict) -> ExperimentSpec:
                           for key in set(section) - set(known[name]))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
+    sections = {"modulation": mod, "channel": chan}
+
+    def read(key: str, cast, many: bool = False):
+        # key is "name" or "section.name"; a missing key reads its default.
+        section, _, name = key.rpartition(".")
+        value = sections.get(section, doc).get(
+            name, (known[section] if section else known)[name])
+        if not many:
+            return _cast(key, value, cast)
+        values = value if isinstance(value, (list, tuple)) else (value,)
+        return tuple(_cast(key, v, cast) for v in values)
+
     sigma2 = doc.get("sigma2", 0.0)
     if isinstance(sigma2, dict):
-        pairs = tuple(sorted((str(k), float(v)) for k, v in sigma2.items()))
+        pairs = tuple(sorted((str(k), _cast(f"sigma2.{k}", v, float))
+                             for k, v in sigma2.items()))
     else:
-        pairs = ((AFFINE, float(sigma2)), (FILTERED, float(sigma2)))
+        value = _cast("sigma2", sigma2, float)
+        pairs = ((AFFINE, value), (FILTERED, value))
     return ExperimentSpec(
         kind=str(doc.get("kind", "")),
-        L=int(mod.get("L", defaults.L)),
-        K=int(mod.get("K", defaults.K)),
-        N=int(mod.get("N", defaults.N)),
-        P=_as_tuple(mod.get("P", list(defaults.P)), int),
-        filters=_as_tuple(mod.get("filter", list(defaults.filters)), str),
-        xi=int(mod.get("xi", defaults.xi)),
-        paths=int(chan.get("paths", defaults.paths)),
-        delay_max=int(chan.get("delay_max", defaults.delay_max)),
-        doppler_max=float(chan.get("doppler_max", defaults.doppler_max)),
-        domains=_as_tuple(doc.get("domains", list(defaults.domains)), str),
-        realizations=int(doc.get("realizations", defaults.realizations)),
+        L=read("modulation.L", int),
+        K=read("modulation.K", int),
+        N=read("modulation.N", int),
+        P=read("modulation.P", int, many=True),
+        filters=read("modulation.filter", str, many=True),
+        xi=read("modulation.xi", int),
+        paths=read("channel.paths", int),
+        delay_max=read("channel.delay_max", int),
+        doppler_max=read("channel.doppler_max", float),
+        domains=read("domains", str, many=True),
+        realizations=read("realizations", int),
         sigma2=pairs,
-        averaging=str(doc.get("averaging", defaults.averaging)),
-        snr_db=_as_tuple(doc.get("snr_db", list(defaults.snr_db)), float),
-        trials=int(doc.get("trials", defaults.trials)),
-        min_bit_errors=int(doc.get("min_bit_errors",
-                                   defaults.min_bit_errors)),
-        qam_order=int(doc.get("qam_order", defaults.qam_order)),
-        seed=int(doc.get("seed", defaults.seed)),
-        output=str(doc.get("output", defaults.output)),
-        emit_heatmap=bool(doc.get("emit_heatmap", defaults.emit_heatmap)),
+        averaging=read("averaging", str),
+        snr_db=read("snr_db", float, many=True),
+        trials=read("trials", int),
+        min_bit_errors=read("min_bit_errors", int),
+        qam_order=read("qam_order", int),
+        seed=read("seed", int),
+        output=read("output", str),
+        emit_heatmap=read("emit_heatmap", bool),
     )
 
 
@@ -317,7 +336,15 @@ def validate(spec: ExperimentSpec) -> list[str]:
     for family, P in [] if unbuildable else spec.scenarios():
         cfg = design_config(spec.L, spec.K, spec.N, P, family,
                             f_max=spec.doppler_max, xi=spec.xi)
-        for problem in cfg.violations():
+        problems = cfg.violations()
+        if not problems:
+            # The prototype's own grid limits (PHYDYAS needs N >= 8);
+            # designing one costs microseconds.
+            try:
+                _default_prototype(cfg)
+            except ValueError as err:
+                problems.append(str(err))
+        for problem in problems:
             out.append(f"{family}/P={P}: {problem}")
         if spec.kind != "sir-waveform":
             if spec.delay_max >= cfg.frame_size:

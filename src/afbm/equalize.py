@@ -7,7 +7,9 @@ mismatch is part of the modeled receiver, not an implementation
 shortcut.
 
 BER frames detect through :func:`mmse_detect`, which solves the normal
-equations for the one received vector and never forms the equalizer.
+equations for the one received vector and never forms the equalizer:
+it fills one triangle of the Gram with ``zherk``, factors it in place
+and solves, without mirroring the Gram or copying Heff to conjugate it.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against; the SIR hot path is
@@ -16,10 +18,10 @@ Delta = I - r (G + r I)^-1 from a single Cholesky inverse.  Either
 path returns Delta as a plain square array.  At zero noise r is always
 a relative ridge of 1e-10 times the mean Gram diagonal, so a
 zero-forcing Delta is set by that one stated regularizer, not by
-roundoff.  The fast paths form the
-Gram Heff^H Heff through :func:`_gram` and the inverse through
-``zpotri``, each on one triangle mirrored exactly Hermitian; the oracle
-keeps the plain product and the solve.
+roundoff.  The SIR path forms the Gram Heff^H Heff through
+:func:`_gram` and the inverse through ``zpotri``, each on one triangle
+mirrored exactly Hermitian; the oracle keeps the plain product and the
+solve.
 """
 
 from __future__ import annotations
@@ -86,18 +88,21 @@ def _gram(h: np.ndarray) -> np.ndarray:
         scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T)
 
 
-def _solve_spd(gram: np.ndarray, rhs: np.ndarray, sigma2: float,
-               context: str) -> np.ndarray:
+def _rank_deficient(n: int, sigma2: float) -> ValueError:
+    return ValueError(
+        f"mmse: {n}x{n} Gram matrix is rank deficient to working "
+        f"precision and sigma2={sigma2:g} does not regularize it")
+
+
+def _solve_spd(gram: np.ndarray, rhs: np.ndarray,
+               sigma2: float) -> np.ndarray:
     """Solve (gram + sigma2 I) X = rhs through a Hermitian factorization."""
     n = gram.shape[0]
     reg = gram + sigma2 * np.eye(n)
     try:
         factor = scipy.linalg.cho_factor(reg, check_finite=False)
     except np.linalg.LinAlgError:
-        raise ValueError(
-            f"{context}: {n}x{n} Gram matrix is rank deficient to "
-            f"working precision and sigma2={sigma2:g} does not "
-            f"regularize it") from None
+        raise _rank_deficient(n, sigma2) from None
     return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
@@ -112,7 +117,7 @@ def mmse(heff: EffectiveChannel, sigma2: float) -> Equalizer:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     gram = Hm.conj().T @ Hm
-    E = _solve_spd(gram, Hm.conj().T, sigma2, "mmse")
+    E = _solve_spd(gram, Hm.conj().T, sigma2)
     return Equalizer(E, heff.domain, float(sigma2))
 
 
@@ -197,10 +202,28 @@ def mmse_detect(heff: EffectiveChannel, received: np.ndarray,
     rather than a solve against every row of Heff.  Decisions agree
     with ``equalize_and_detect(mmse(heff, sigma2), received, alphabet)``
     up to roundoff in the soft estimates.
+
+    The Gram is one triangle, factored in place: ``zherk`` reads the
+    C-ordered Heff as its Fortran transpose and fills the upper triangle
+    of conj(Heff^H Heff); conjugating that exactly gives the Gram's own
+    upper triangle, which takes sigma2 on its diagonal and goes to
+    ``zpotrf`` and ``zpotrs`` without a copy.  Heff^H r is read as
+    conj(Heff^T conj(r)), so Heff is never conjugated either, and the
+    only n x n array is the Gram itself.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     received = _received_vector(received, Hm.shape[0])
-    soft = _solve_spd(_gram(Hm), Hm.conj().T @ received, sigma2, "mmse")
+    n = Hm.shape[1]
+    reg = scipy.linalg.blas.zherk(1.0, Hm.T, trans=0, lower=0)
+    np.conjugate(reg, out=reg)
+    reg[np.diag_indices(n)] += sigma2
+    factor, info = scipy.linalg.lapack.zpotrf(reg, lower=0, clean=0,
+                                              overwrite_a=1)
+    if info != 0:
+        raise _rank_deficient(n, sigma2)
+    rhs = Hm.T @ received.conj()
+    soft, _ = scipy.linalg.lapack.zpotrs(factor, np.conjugate(rhs, out=rhs),
+                                         lower=0, overwrite_b=1)
     return _nearest_symbols(soft, alphabet)

@@ -129,6 +129,16 @@ class ModulationConfig:
 _DEFAULT_OVERLAP = {"hermite": 1.5, "phydyas": 4.0}
 
 
+def _default_prototype(cfg: ModulationConfig) -> PrototypeFilter:
+    """The family's designed prototype on the configuration's grid."""
+    if cfg.filter_family == "hermite":
+        return hermite_prototype(cfg.N, cfg.overlap)
+    if cfg.filter_family == "phydyas":
+        return phydyas_prototype(cfg.N, cfg.overlap)
+    raise ValueError(f"family {cfg.filter_family!r} needs an explicit "
+                     f"prototype")
+
+
 def design_config(L: int, K: int, N: int, P: int,
                   filter_family: str = "hermite",
                   overlap: float | None = None,
@@ -210,13 +220,7 @@ class AfbmModem:
         if problems:
             raise ValueError("; ".join(problems))
         if prototype is None:
-            if cfg.filter_family == "hermite":
-                prototype = hermite_prototype(cfg.N, cfg.overlap)
-            elif cfg.filter_family == "phydyas":
-                prototype = phydyas_prototype(cfg.N, cfg.overlap)
-            else:
-                raise ValueError(f"family {cfg.filter_family!r} needs an "
-                                 f"explicit prototype")
+            prototype = _default_prototype(cfg)
         if prototype.fft_size != cfg.N or prototype.overlap != cfg.overlap:
             raise ValueError("prototype grid does not match configuration")
         self.cfg = cfg
@@ -244,6 +248,11 @@ class AfbmModem:
         spread = (composed * comp[None, :])[:, act]
         self._tx_block = self._taps[:, None] * \
             spread[np.arange(self._taps.size) % cfg.N]
+        # Mean output-branch energy of each receive front end.
+        self._branch_energy = {
+            AFFINE: np.mean(np.sum(np.abs(self._tx_block) ** 2, axis=0)),
+            FILTERED: np.mean(self._bank_energy),
+        }
         self._modulation_matrix: np.ndarray | None = None
         self._filter_matrix: np.ndarray | None = None
 
@@ -351,13 +360,11 @@ class AfbmModem:
         """
         if not sigma2 >= 0:
             raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-        if domain == AFFINE:
-            energy = np.sum(np.abs(self._tx_block) ** 2, axis=0)
-        elif domain == FILTERED:
-            energy = self._bank_energy
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
-        return float(sigma2 * np.mean(energy))
+        try:
+            energy = self._branch_energy[domain]
+        except KeyError:
+            raise ValueError(f"unknown domain {domain!r}") from None
+        return float(sigma2 * energy)
 
     # ---------------------------------------------------------- dense oracles
 

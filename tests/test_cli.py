@@ -200,6 +200,11 @@ class TestValidate:
         (SMALL_BER, "P: [48]", "P: [0]", "P must be positive, got 0"),
         (SMALL_SIR, "filter: [hermite]", "filter: [gauss]",
          "filter must be one of ['hermite', 'phydyas'], got 'gauss'"),
+        (SMALL_BER, "{L: 32, K: 4, N: 64, P: [48], filter: [hermite]}\n"
+                    "channel: {paths: 3, delay_max: 12",
+         "{L: 4, K: 2, N: 6, P: [6], filter: [phydyas]}\n"
+         "channel: {paths: 1, delay_max: 0",
+         "phydyas/P=6: N must be even and >= 8, got 6"),
     ])
     def test_bad_values_refused_before_compute(self, base, old, new, reason,
                                                monkeypatch):
@@ -275,6 +280,18 @@ class TestMainAndOutputs:
         assert main(["validate", "--config", cfg]) == 2
         assert capsys.readouterr().err == \
             "error: modulation must be a mapping\n"
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("modulation: {L: 32,", "modulation: {L: [1],",
+         "modulation.L must be an integer, got [1]"),
+        ("min_bit_errors: 10", "min_bit_errors: 10\nsigma2: [1]",
+         "sigma2 must be a number, got [1]"),
+    ])
+    def test_mistyped_value_rejected(self, tmp_path, capsys, old, new,
+                                     reason):
+        cfg = self.write(tmp_path, SMALL_BER.replace(old, new))
+        assert main(["validate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {reason}\n"
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_SIR)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -8,7 +10,8 @@ from afbm.channel import add_awgn, apply_channel, sample_channel, trial_stream
 from afbm.equalize import (_gram, _mirror_lower, delta_from_gram,
                            delta_matrix, equalize_and_detect, mmse,
                            mmse_detect)
-from afbm.modem import AFFINE, FILTERED, EffectiveChannel, qam_alphabet
+from afbm.modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
+                        design_config, qam_alphabet)
 
 
 def random_heff(d, rng, domain=AFFINE):
@@ -270,27 +273,60 @@ class TestDetection:
 
 class TestMmseDetect:
 
+    @staticmethod
+    def detect_both(modem, seed, domain, sigma2):
+        """Fast and dense-oracle decisions on one simulated frame."""
+        rng = trial_stream(seed, 0)
+        ch = sample_channel(2, 4, 0.5, rng, size=modem.cfg.frame_size)
+        alphabet = qam_alphabet(4)
+        sent = alphabet[rng.integers(0, 4, modem.cfg.payload_size)]
+        r = add_awgn(apply_channel(ch, modem.modulate(sent)), sigma2, rng)
+        if domain == AFFINE:
+            heff = modem.effective_channel_affine(ch)
+            received = modem.matched_demodulate(r)
+        else:
+            heff = modem.effective_channel_filtered(ch)
+            received = modem.filtered_receive(r)
+        noise = modem.received_noise_power(domain, sigma2)
+        want = equalize_and_detect(mmse(heff, noise), received, alphabet)
+        return mmse_detect(heff, received, noise, alphabet), want
+
     @given(st.integers(0, 2 ** 16), st.sampled_from([AFFINE, FILTERED]),
            st.sampled_from([1e-4, 1e-2, 0.3]))
     @settings(max_examples=30, deadline=None)
     def test_matches_dense_oracle_on_toy_frames(self, toy_modem, seed,
                                                 domain, sigma2):
-        rng = trial_stream(seed, 0)
-        ch = sample_channel(2, 4, 0.5, rng, size=toy_modem.cfg.frame_size)
-        alphabet = qam_alphabet(4)
-        sent = alphabet[rng.integers(0, 4, toy_modem.cfg.payload_size)]
-        r = add_awgn(apply_channel(ch, toy_modem.modulate(sent)), sigma2,
-                     rng)
-        if domain == AFFINE:
-            heff = toy_modem.effective_channel_affine(ch)
-            received = toy_modem.matched_demodulate(r)
-        else:
-            heff = toy_modem.effective_channel_filtered(ch)
-            received = toy_modem.filtered_receive(r)
-        noise = toy_modem.received_noise_power(domain, sigma2)
-        want = equalize_and_detect(mmse(heff, noise), received, alphabet)
-        got = mmse_detect(heff, received, noise, alphabet)
+        got, want = self.detect_both(toy_modem, seed, domain, sigma2)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    @pytest.mark.parametrize("seed,sigma2", [(0, 1e-4), (1, 1e-2),
+                                             (2, 0.3)])
+    def test_matches_dense_oracle_on_mid_frames(self, mid_hermite,
+                                                mid_phydyas, seed, domain,
+                                                sigma2):
+        for modem in (mid_hermite, mid_phydyas):
+            got, want = self.detect_both(modem, seed, domain, sigma2)
+            assert np.array_equal(got, want)
+
+    def test_peak_allocation_below_the_channel(self):
+        # One n x n Gram, factored in place, is the only large temporary:
+        # no conjugated copy of Heff and no second n x n array.
+        modem = AfbmModem(design_config(128, 4, 256, 256, "hermite"))
+        rng = trial_stream(3, 0)
+        ch = sample_channel(3, 16, 2.0, rng, size=modem.cfg.frame_size)
+        heff = modem.effective_channel_filtered(ch)
+        received = modem.filtered_receive(
+            rng.standard_normal(modem.cfg.frame_size) + 0j)
+        alphabet = qam_alphabet(4)
+        tracemalloc.start()
+        try:
+            mmse_detect(heff, received, 1e-2, alphabet)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert heff.matrix.nbytes == 4 * 2 ** 20
+        assert peak < heff.matrix.nbytes
 
     def test_recovers_clean_symbols_zero_forcing(self, rng):
         heff = random_heff(20, rng)

@@ -97,6 +97,18 @@ class TestSirStatistics:
         assert db.samples_db == lin.samples_db
         assert db.average_db < lin.average_db
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("domain,counts", [
+        (AFFINE, [(53, 320), (29, 640)]),
+        (FILTERED, [(54, 320), (11, 640)]),
+    ])
+    def test_counts_are_pinned(self, small_modem, domain, counts, workers):
+        # Recorded before the in-place detection path: the 2 dB point
+        # stops after two batches of 5 frames, the 12 dB point runs all 20.
+        pts = ber_curve(small_modem, SMALL_CHANNEL, domain, [2.0, 12.0], 20,
+                        7, min_bit_errors=40, batch=5, workers=workers)
+        assert [(p.bit_errors, p.bits_total) for p in pts] == counts
+
     def test_worker_count_does_not_change_results(self, small_modem):
         kw = dict(averaging="db")
         a = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
@@ -216,6 +228,18 @@ class TestBerCurve:
                         min_bit_errors=30, batch=5)
         assert pts[0].bit_errors >= 30
         assert pts[0].bits_total < 200 * 64
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("domain,counts", [
+        (AFFINE, [(53, 320), (29, 640)]),
+        (FILTERED, [(54, 320), (11, 640)]),
+    ])
+    def test_counts_are_pinned(self, small_modem, domain, counts, workers):
+        # Recorded before the in-place detection path: the 2 dB point
+        # stops after two batches of 5 frames, the 12 dB point runs all 20.
+        pts = ber_curve(small_modem, SMALL_CHANNEL, domain, [2.0, 12.0], 20,
+                        7, min_bit_errors=40, batch=5, workers=workers)
+        assert [(p.bit_errors, p.bits_total) for p in pts] == counts
 
     def test_worker_count_does_not_change_results(self, small_modem):
         kw = dict(min_bit_errors=8, batch=4)
