@@ -21,7 +21,11 @@ human-readable ``summary.txt``; the hash is a digest of the canonical
 spec serialization, so identical experiments land on identical names.
 Nothing is written when validation fails, and :func:`validate` refuses
 a bad spec (non-finite noise or SNR values, a negative seed, options
-the kind ignores, ...) before any compute.
+the kind ignores, ...) before any compute; :func:`main` likewise
+refuses an output directory it could not create or write in.  Worker
+processes default to the cores this process may run on.  The ``afbm``
+script and ``python -m afbm`` enter through :mod:`afbm.__main__`, which
+pins BLAS to one thread unless the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -441,6 +445,15 @@ _RUNNERS = {
 }
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on, or the machine's where the
+    affinity mask cannot be read."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run(spec: ExperimentSpec, override_orthogonality: bool = False,
         workers: int | None = None) -> ExperimentReport:
     """Validate, compute, and return the report without touching disk."""
@@ -457,7 +470,7 @@ def run(spec: ExperimentSpec, override_orthogonality: bool = False,
         print(f"warning: {line}", file=sys.stderr)
 
     if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
+        workers = _usable_cores()
     start = time.perf_counter()
     outputs = _RUNNERS[spec.kind](spec, workers)
     elapsed = time.perf_counter() - start
@@ -602,6 +615,23 @@ def write_report(spec: ExperimentSpec, report: ExperimentReport,
 # ----------------------------------------------------------------------- CLI
 
 
+def _unwritable(out_dir: str) -> str | None:
+    """Why results cannot be written to ``out_dir``, or None.
+
+    Checks what :func:`write_report` will need without creating
+    anything: ``out_dir`` is a writable directory, or its nearest
+    existing ancestor is one that the missing levels can be made in.
+    """
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        return f"{path!r} is not a directory"
+    if not os.access(path, os.W_OK | os.X_OK):
+        return f"{path!r} is not writable"
+    return None
+
+
 def _load_spec(args) -> ExperimentSpec:
     if args.preset and args.config:
         raise ValueError("pass either --config or --preset, not both")
@@ -631,7 +661,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default=None,
                         help="output directory (default from the spec)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: machine cores)")
+                        help="worker processes (default: the cores this "
+                             "process may run on)")
     parser.add_argument("--override-orthogonality-check", action="store_true",
                         help="downgrade the separability condition to a "
                              "warning")
@@ -667,6 +698,12 @@ def main(argv=None) -> int:
     if spec.kind != args.command:
         print(f"error: config kind {spec.kind!r} does not match "
               f"subcommand {args.command!r}", file=sys.stderr)
+        return 2
+
+    problem = _unwritable(spec.output)
+    if problem is not None:
+        print(f"error: cannot write results to {spec.output!r}: {problem}",
+              file=sys.stderr)
         return 2
 
     try:

@@ -21,7 +21,11 @@ zero-forcing Delta is set by that one stated regularizer, not by
 roundoff.  The SIR path forms the Gram Heff^H Heff through
 :func:`_gram` and the inverse through ``zpotri``, each on one triangle
 mirrored exactly Hermitian; the oracle keeps the plain product and the
-solve.
+solve.  :func:`_gram` reads the effective channel's block support:
+per receive window it multiplies only the runs of consecutive symbols
+that window can see, so a short prototype's Gram skips the blocks its
+symbols never reach; a full or absent support is one product over all
+of Heff.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import scipy.linalg
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-from .modem import EffectiveChannel
+from .modem import EffectiveChannel, _support_runs
 
 __all__ = [
     "Equalizer",
@@ -75,17 +79,44 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _gram(h: np.ndarray) -> np.ndarray:
-    """h^H h from one triangle, mirrored so the result is exactly Hermitian.
+def _lower_gram(h: np.ndarray) -> np.ndarray:
+    """h^H h on and below the diagonal, zeros above.
 
     ``zherk`` fills one triangle of h^T conj(h), the conjugate (that is,
     the transpose) of h^H h, reading a C-ordered h as its Fortran
     transpose without a copy.  Transposing puts the filled triangle at
-    the bottom of h^H h, and the strict upper triangle is then copied
-    from it conjugated.
+    the bottom of h^H h.
     """
-    return _mirror_lower(
-        scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T)
+    return scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T
+
+
+def _gram(h: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+    """h^H h from one triangle, mirrored so the result is exactly Hermitian.
+
+    With a block ``support`` (see :class:`afbm.modem.EffectiveChannel`)
+    that leaves some blocks out, the lower triangle is summed over the
+    receive windows from the blocks that can be nonzero only.  Per
+    window, each run of consecutive supported symbols adds its own
+    ``zherk`` triangle on the diagonal, and each pair of runs adds one
+    product below it; blocks outside the support contribute nothing.
+    Without a support, or with a full one, it is one ``zherk`` over all
+    of h.  The strict upper triangle is then copied from the lower one
+    conjugated.
+    """
+    if support is None or support.all():
+        return _mirror_lower(_lower_gram(h))
+    K = support.shape[0]
+    rows, w = h.shape[0] // K, h.shape[1] // K
+    out = np.zeros((h.shape[1],) * 2, dtype=complex)
+    for j, runs in enumerate(_support_runs(support)):
+        window = h[j * rows:(j + 1) * rows]
+        for i, (a, b) in enumerate(runs):
+            run = window[:, a * w:b * w]
+            out[a * w:b * w, a * w:b * w] += _lower_gram(run)
+            for c, d in runs[:i]:
+                out[a * w:b * w, c * w:d * w] += \
+                    run.conj().T @ window[:, c * w:d * w]
+    return _mirror_lower(out)
 
 
 def _rank_deficient(n: int, sigma2: float) -> ValueError:

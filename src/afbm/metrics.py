@@ -140,15 +140,31 @@ def sir_conditioned(delta: np.ndarray) -> ConditionedSir:
     return ConditionedSir(nominal_db, diagonal_db, substituted)
 
 
-def _domain_gram(modem: AfbmModem, realization, domain: str) -> np.ndarray:
-    return _gram(modem.effective_channel(realization, domain).matrix)
+def _domain_gram(heff) -> np.ndarray:
+    return _gram(heff.matrix, heff.support)
 
 
-def _domain_sample(modem: AfbmModem, realization, domain: str,
-                   sigma2: float, heatmaps: bool) -> tuple:
-    # A function of its own so each Delta is freed before the next
-    # domain's is computed.
-    delta = delta_from_gram(_domain_gram(modem, realization, domain), sigma2)
+def _domain_grams(modem: AfbmModem, realization, domains) -> dict:
+    """The Gram of each domain's effective channel of one realization.
+
+    The filtered channel comes first and is handed to the affine one,
+    which reuses it when the modem routes its affine channel through
+    it.  It is dropped before the affine Gram is formed, so at most
+    the filtered channel, its Gram and the affine channel coexist.
+    """
+    grams, filtered = {}, None
+    if FILTERED in domains:
+        filtered = modem.effective_channel_filtered(realization)
+        grams[FILTERED] = _domain_gram(filtered)
+    if AFFINE in domains:
+        affine = modem.effective_channel_affine(realization, filtered)
+        del filtered
+        grams[AFFINE] = _domain_gram(affine)
+    return grams
+
+
+def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
+    delta = delta_from_gram(gram, sigma2)
     return sir_conditioned(delta), (np.abs(delta) ** 2 if heatmaps else None)
 
 
@@ -157,12 +173,15 @@ def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
                 heatmaps: bool) -> list[tuple]:
     """One realization: per (domain, sigma2) of ``noise``, the
     conditioned SIR and, when ``heatmaps`` is set, |Delta|^2.  The
-    channel is drawn once for all domains."""
+    channel is drawn once for all domains, and both Grams are formed
+    before either Delta, so the large filtered channel is gone by then;
+    each Gram is released once its Delta is reduced."""
     rng = _channel.trial_stream(seed, index)
     realization = _channel.sample_channel(
         chan.n_paths, chan.delay_max, chan.doppler_max, rng,
         size=modem.cfg.frame_size)
-    return [_domain_sample(modem, realization, domain, sigma2, heatmaps)
+    grams = _domain_grams(modem, realization, [d for d, _ in noise])
+    return [_domain_sample(grams.pop(domain), sigma2, heatmaps)
             for domain, sigma2 in noise]
 
 

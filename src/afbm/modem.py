@@ -12,6 +12,12 @@ nothing else, so the receive bank is a tap weighting followed by a
 fold of the window onto the N-point grid (:meth:`AfbmModem._fold`);
 the dense bank matrix is built only for the oracle paths.
 
+The build reads its DFT matrices from roots of unity, and the
+synthesis block applies its DFT stages as FFTs
+(:func:`afbm.transforms.synthesis_block`).  The modem keeps C, the
+N x L/2 map from one symbol's payload to its N-point grid (synthesis o
+precoder on the active columns).
+
 Two effective-channel views of a propagation channel are provided:
 the affine domain (after the full matched receive chain) and the
 filtered time domain (after the receive filter bank only).  A channel
@@ -19,11 +25,25 @@ realization is applied symbol by symbol: each symbol's transmit block
 is propagated over its own support (its span plus the largest delay,
 wrapping cyclically) and projected onto the receive windows it
 overlaps, so the mostly-zero dense transmit matrix is never formed.
-The affine projection is the transmit block's adjoint; the filtered
-one weights by the taps and folds.  Effective channels take channel
-realizations only; the dense matrices they are checked against
-(:meth:`AfbmModem.modulation_matrix`, :meth:`AfbmModem.filter_matrix`
-around :func:`afbm.channel.channel_matrix`) are oracles.
+The filtered projection weights by the taps and folds.  Each effective
+channel carries its block support, the (receive window, symbol) blocks
+that propagation reached; every other block is exactly zero, and the
+Gram (:func:`afbm.equalize._gram`) skips them.
+
+The affine channel has two routes, and each modem picks one at build
+from a multiply-add count of its shapes: project each propagated
+symbol with the transmit block's adjoint, or map the filtered channel
+through C^H window by window, (I_K kron C^H) H_f, which is exact
+because C^H folds the taps-weighted window as the adjoint does.  The
+second wins for a prototype long against N (PHYDYAS), where a symbol
+shares many rows with each window; a short one (Hermite) projects
+directly.  :func:`afbm.metrics.sir_pass` hands its filtered channel to
+the affine one, so the second route then costs only the products.
+
+Effective channels take channel realizations only; the dense matrices
+they are checked against (:meth:`AfbmModem.modulation_matrix`,
+:meth:`AfbmModem.filter_matrix` around
+:func:`afbm.channel.channel_matrix`) are oracles.
 """
 
 from __future__ import annotations
@@ -165,14 +185,39 @@ def design_config(L: int, K: int, N: int, P: int,
 
 @dataclass(frozen=True, eq=False)
 class EffectiveChannel:
-    """Dense end-to-end channel matrix in a declared detection domain."""
+    """Dense end-to-end channel matrix in a declared detection domain.
+
+    ``support`` is a K x K boolean array whose entry [j, k] is set when
+    the block of receive window j and symbol k can be nonzero: the
+    matrix is K x K blocks, rows split evenly over the windows and
+    columns over the symbols, and every block outside the support is
+    exactly zero.  None means dense, every block possibly nonzero.
+    """
 
     matrix: np.ndarray
     domain: str
+    support: np.ndarray | None = None
 
     def __post_init__(self):
         if self.domain not in (AFFINE, FILTERED):
             raise ValueError(f"unknown domain {self.domain!r}")
+        if self.support is not None:
+            K = self.support.shape[0]
+            if self.support.shape != (K, K) or any(
+                    n % K for n in self.matrix.shape):
+                raise ValueError(f"support of shape {self.support.shape} "
+                                 f"does not split a {self.matrix.shape} "
+                                 f"matrix into square blocks")
+
+
+def _support_runs(support: np.ndarray) -> list[list[tuple[int, int]]]:
+    """Per row of a block support, the [a, b) runs of consecutive set
+    entries, in column order."""
+    runs = []
+    for row in support:
+        edges = np.flatnonzero(np.diff(row, prepend=False, append=False))
+        runs.append(list(zip(edges[::2].tolist(), edges[1::2].tolist())))
+    return runs
 
 
 def active_indices(L: int) -> np.ndarray:
@@ -232,9 +277,7 @@ class AfbmModem:
         # Column energies of the bank, one fold of the squared taps.
         self._bank_energy = self._fold(self._taps ** 2)
 
-        self._w_L = daft_matrix(ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
-        self._synthesis = synthesis_block(cfg)
-        composed = self._synthesis @ self._w_L
+        composed = synthesis_block(cfg) @ self._chirped_transform()
         gram_diag = self._bank_energy @ (np.abs(composed) ** 2)
         act = active_indices(cfg.L)
         if np.any(gram_diag[act] <= 0):
@@ -243,11 +286,13 @@ class AfbmModem:
         comp[act] = 1.0 / np.sqrt(gram_diag[act])
         self._comp = comp
 
-        # Per-symbol transmit block: bank o synthesis o precoder,
-        # restricted to the active columns.  Columns are unit norm.
-        spread = (composed * comp[None, :])[:, act]
+        # C, the N x L/2 grid-to-payload map of one symbol: synthesis o
+        # precoder, restricted to the active columns.  The per-symbol
+        # transmit block is the bank o C; its columns are unit norm.
+        self._spread = (composed * comp[None, :])[:, act]
         self._tx_block = self._taps[:, None] * \
-            spread[np.arange(self._taps.size) % cfg.N]
+            self._spread[np.arange(self._taps.size) % cfg.N]
+        self._affine_from_filtered = self._route_through_filtered()
         # Mean output-branch energy of each receive front end.
         self._branch_energy = {
             AFFINE: np.mean(np.sum(np.abs(self._tx_block) ** 2, axis=0)),
@@ -276,17 +321,22 @@ class AfbmModem:
 
     # ------------------------------------------------------------ chain parts
 
+    def _chirped_transform(self) -> np.ndarray:
+        """The L-point DAFT of the precoder."""
+        cfg = self.cfg
+        return daft_matrix(ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
+
     def precoder(self) -> np.ndarray:
         """L x L precoding matrix: chirped transform times the gain vector.
 
         The middle L/2 columns are exactly zero, mirroring the guard
         band of the subcarrier mapping.
         """
-        return self._w_L * self._comp[None, :]
+        return self._chirped_transform() * self._comp[None, :]
 
     def synthesis_matrix(self) -> np.ndarray:
         """The N x L synthesis isometry between the P-stage and the bank grid."""
-        return self._synthesis.copy()
+        return synthesis_block(self.cfg)
 
     # ------------------------------------------------------------- fast paths
 
@@ -436,22 +486,60 @@ class AfbmModem:
                         yield (k, j, lo - w0, hi - w0,
                                strip[offset + lo - a:offset + hi - a])
 
-    def effective_channel_affine(self, c) -> EffectiveChannel:
+    def _route_through_filtered(self) -> bool:
+        """Whether the affine channel costs fewer multiply-adds as
+        (I_K kron C^H) times the filtered one than projected directly.
+
+        Counted for a delay-free channel: the direct projection spends
+        (L/2)^2 per row a symbol shares with a receive window, the route
+        through the filtered channel N (L/2)^2 per block it touches.  A
+        prototype long against N shares many rows per block, so the
+        second is cheaper.
+        """
+        cfg = self.cfg
+        k = np.arange(cfg.K)
+        shared = np.maximum(
+            self._taps.size - np.abs(k[:, None] - k[None, :]) * (cfg.N // 2),
+            0)
+        return bool(cfg.N * np.count_nonzero(shared) < shared.sum())
+
+    def effective_channel_affine(self, c, filtered: EffectiveChannel | None
+                                 = None) -> EffectiveChannel:
         """Payload-to-payload matrix seen by affine-domain detection.
 
         The matched receive chain composed with the transmit chain
         propagated through the channel realization ``c``, restricted to
-        payload coordinates on both sides: each symbol is propagated on
-        its own support and projected window by window with the
-        per-symbol block's adjoint.  Anything else raises TypeError.
+        payload coordinates on both sides.  The modem computes it one
+        way, fixed at build by :meth:`_route_through_filtered`: either
+        each symbol is propagated on its own support and projected
+        window by window with the per-symbol block's adjoint, or the
+        filtered channel's supported N x L/2 blocks are mapped through
+        C^H, since C^H folds the taps-weighted window exactly as the
+        adjoint does.  ``filtered``, when given, must be this modem's
+        :meth:`effective_channel_filtered` of ``c``; the second route
+        reuses it instead of building it again, and either route gives
+        the same bits with or without it.  Anything but a channel
+        realization as ``c`` raises TypeError.
         """
+        cfg = self.cfg
         w = self._tx_block.shape[1]
+        out = np.zeros((cfg.payload_size,) * 2, dtype=complex)
+        if self._affine_from_filtered:
+            if filtered is None:
+                filtered = self.effective_channel_filtered(c)
+            adjoint, hf = self._spread.conj().T, filtered.matrix
+            for j, runs in enumerate(_support_runs(filtered.support)):
+                for a, b in runs:
+                    out[j * w:(j + 1) * w, a * w:b * w] = \
+                        adjoint @ hf[j * cfg.N:(j + 1) * cfg.N, a * w:b * w]
+            return EffectiveChannel(out, AFFINE, filtered.support)
         adjoint = self._tx_block.conj().T
-        out = np.zeros((self.cfg.payload_size,) * 2, dtype=complex)
+        support = np.zeros((cfg.K, cfg.K), dtype=bool)
         for k, j, lo, hi, piece in self._propagated_pieces(c):
             out[j * w:(j + 1) * w, k * w:(k + 1) * w] += \
                 adjoint[:, lo:hi] @ piece
-        return EffectiveChannel(out, AFFINE)
+            support[j, k] = True
+        return EffectiveChannel(out, AFFINE, support)
 
     def effective_channel_filtered(self, c) -> EffectiveChannel:
         """Payload-to-filtered-grid matrix seen by filtered-domain detection.
@@ -467,10 +555,12 @@ class AfbmModem:
         out = np.zeros((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
         flat = out.view(float)
         w2 = 2 * self._tx_block.shape[1]
+        support = np.zeros((cfg.K, cfg.K), dtype=bool)
         for k, j, lo, hi, piece in self._propagated_pieces(c):
             self._fold(self._taps[lo:hi, None] * piece.view(float), lo,
                        flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2])
-        return EffectiveChannel(out, FILTERED)
+            support[j, k] = True
+        return EffectiveChannel(out, FILTERED, support)
 
     def effective_channel(self, c, domain: str) -> EffectiveChannel:
         """The effective channel of realization ``c`` in domain ``domain``."""

@@ -3,8 +3,13 @@
 The modulation chain is a composition of a small number of structured
 matrices: normalized DFTs, diagonal chirps, the pruned DAFT, and the
 frequency-domain expansion that embeds a P-point spectrum into an
-N-point grid.  Everything here is dense and exact; the per-symbol
-fast paths live in :mod:`afbm.modem`.
+N-point grid.  DFT entries are read from the n-th roots of unity at
+the exponent mk mod n, so an n-point matrix costs n complex
+exponentials rather than n^2, and :func:`synthesis_block` applies its
+two DFT stages as FFTs along the columns instead of multiplying dense
+DFT matrices.  The dense matrices stay available as the oracles those
+paths are checked against; the per-symbol fast paths live in
+:mod:`afbm.modem`.
 """
 
 from __future__ import annotations
@@ -54,11 +59,16 @@ class ChirpParams:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """Normalized n-point DFT matrix, entry (m, k) = exp(-j2pi mk/n)/sqrt(n)."""
+    """Normalized n-point DFT matrix, entry (m, k) = exp(-j2pi mk/n)/sqrt(n).
+
+    Each entry is the root of unity at exponent mk mod n, so the phase
+    is reduced exactly before any rounding.
+    """
     if n < 1:
         raise ValueError(f"transform size must be positive, got {n}")
     k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / np.sqrt(n)
+    roots = np.exp(-2j * np.pi * k / n)
+    return roots[np.outer(k, k) % n] / np.sqrt(n)
 
 
 def chirp_phases(c: float, n: int) -> np.ndarray:
@@ -138,7 +148,8 @@ def synthesis_block(cfg) -> np.ndarray:
     Composes the adjoint of the pruned P-point DAFT, the P-point DFT,
     the frequency-domain expansion, the grid alignment phases, and the
     inverse N-point DFT.  The result is an isometry: its Gram matrix is
-    the L x L identity to within roundoff.
+    the L x L identity to within roundoff.  Both DFT stages run as
+    unitary FFTs down the L columns.
 
     Parameters
     ----------
@@ -148,11 +159,16 @@ def synthesis_block(cfg) -> np.ndarray:
     """
     if not cfg.L < cfg.P <= cfg.N:
         raise ValueError(f"need L < P <= N, got L={cfg.L}, P={cfg.P}, N={cfg.N}")
-    params = ChirpParams(cfg.c1_P, cfg.c2_P, cfg.P)
-    core = expansion_matrix(cfg.N, cfg.P) @ dft_matrix(cfg.P) \
-        @ pruned_daft(cfg.L, cfg.P, params).conj().T
-    core = grid_alignment_phases(cfg.N, cfg.overlap)[:, None] * core
-    return dft_matrix(cfg.N).conj().T @ core
+    L, P, N = cfg.L, cfg.P, cfg.N
+    params = ChirpParams(cfg.c1_P, cfg.c2_P, P)
+    spectrum = np.fft.fft(pruned_daft(L, P, params).conj().T, axis=0,
+                          norm="ortho")
+    # The expansion: each half of the P-point spectrum at a grid edge.
+    grid = np.zeros((N, L), dtype=complex)
+    grid[:P // 2] = spectrum[:P // 2]
+    grid[N - P // 2:] = spectrum[P // 2:]
+    grid *= grid_alignment_phases(N, cfg.overlap)[:, None]
+    return np.fft.ifft(grid, axis=0, norm="ortho")
 
 
 def default_c1(f_max: float, xi: int, P: int) -> float:

@@ -1,6 +1,9 @@
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +309,26 @@ class TestMainAndOutputs:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    def test_unusable_out_refused_before_compute(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("run reached")
+
+        monkeypatch.setattr(cli, "run", no_compute)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        cfg = self.write(tmp_path, SMALL_SIR)
+        out = blocker / "x"
+        assert main(["sir-channel", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write results to {str(out)!r}: "
+            f"{str(blocker)!r} is not a directory\n")
+        assert blocker.read_text() == "not a directory"
+
+    def test_missing_out_levels_are_not_created_early(self, tmp_path):
+        assert cli._unwritable(str(tmp_path / "a" / "b")) is None
+        assert not (tmp_path / "a").exists()
+
     def test_ber_writes_expected_files(self, tmp_path, capsys):
         cfg = self.write(tmp_path, SMALL_BER)
         out = tmp_path / "res"
@@ -561,6 +584,67 @@ class TestHeatmapWriter:
         with tempfile.TemporaryDirectory() as out:
             self.assert_matches_per_cell(
                 out, _symmetric_map(n, seed, specials[:n]))
+
+
+class TestWorkersDefault:
+
+    def test_counts_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        assert cli._usable_cores() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cores() == 5
+
+    @pytest.mark.parametrize("asked,used", [(None, 3), (0, 3), (2, 2)])
+    def test_run_takes_the_default_from_the_affinity(self, monkeypatch,
+                                                     asked, used):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 3},
+                            raising=False)
+        seen = []
+
+        def runner(spec, workers):
+            seen.append(workers)
+            return {"header": (), "rows": ()}
+
+        monkeypatch.setitem(cli._RUNNERS, "sir-channel", runner)
+        run(parse_spec(SMALL_SIR), workers=asked)
+        assert seen == [used]
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _python(*args, **env):
+    clean = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    clean["PYTHONPATH"] = SRC + os.pathsep + clean.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], env={**clean, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestEntryModule:
+
+    def test_module_validates_a_preset(self):
+        done = _python("-m", "afbm", "validate", "--preset", "channel-stats")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "ok: no violations\n"
+
+    def test_pins_blas_before_numpy_loads(self):
+        show = ("import os, sys, afbm; loaded = 'numpy' in sys.modules; "
+                "import afbm.__main__; "
+                f"print(loaded, *(os.environ[v] for v in {_BLAS_VARS!r}))")
+        done = _python("-c", show)
+        assert done.stdout == "False 1 1 1\n", done.stderr
+
+    def test_explicit_environment_wins(self):
+        show = ("import os, afbm.__main__; "
+                f"print(*(os.environ[v] for v in {_BLAS_VARS!r}))")
+        done = _python("-c", show, OPENBLAS_NUM_THREADS="3")
+        assert done.stdout == "3 1 1\n", done.stderr
 
 
 class TestPresets:

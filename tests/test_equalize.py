@@ -6,7 +6,8 @@ import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afbm.channel import add_awgn, apply_channel, sample_channel, trial_stream
+from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
+                          apply_channel, sample_channel, trial_stream)
 from afbm.equalize import (_gram, _mirror_lower, delta_from_gram,
                            delta_matrix, equalize_and_detect, mmse,
                            mmse_detect)
@@ -217,6 +218,80 @@ class TestGram:
         got, want = _gram(h), h.conj().T @ h
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(got, got.conj().T)
+
+
+@st.composite
+def block_sparse(draw):
+    """A K x K block matrix zero outside a random support."""
+    K, rows, cols = (draw(st.integers(1, 5)), draw(st.integers(1, 6)),
+                     draw(st.integers(1, 4)))
+    support = np.array(draw(st.lists(st.booleans(), min_size=K * K,
+                                     max_size=K * K))).reshape(K, K)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    h = rng.standard_normal((K * rows, K * cols)) + \
+        1j * rng.standard_normal((K * rows, K * cols))
+    h *= np.kron(support, np.ones((rows, cols)))
+    return h, support
+
+
+@st.composite
+def wrapped_channels(draw, M):
+    """1-3 paths, one of them always delayed so the last symbol's strip
+    wraps past the frame end."""
+    first = draw(st.integers(1, 24))
+    rest = draw(st.lists(st.integers(0, 2 * M), max_size=2))
+    delays = list(dict.fromkeys([first, *rest]))
+    gain = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
+    paths = tuple(PathSpec(draw(gain), d, draw(st.floats(-2.0, 2.0)))
+                  for d in delays)
+    return ChannelRealization(paths, size=M)
+
+
+class TestSupportGram:
+    """The Gram summed over supported blocks against a dense h^H h."""
+
+    @staticmethod
+    def check(h, support):
+        got = _gram(h, support)
+        want = h.conj().T @ h
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(),
+                                                       1e-300)
+        assert np.array_equal(got, got.conj().T)
+
+    @given(block_sparse())
+    @settings(max_examples=60, deadline=None)
+    def test_random_supports(self, case):
+        self.check(*case)
+
+    @given(data=st.data(), which=st.integers(0, 3),
+           domain=st.sampled_from((AFFINE, FILTERED)))
+    @settings(max_examples=40, deadline=None)
+    def test_effective_channels(self, oracle_modems, data, which, domain):
+        modem = oracle_modems[which]
+        ch = data.draw(wrapped_channels(modem.cfg.frame_size))
+        heff = modem.effective_channel(ch, domain)
+        self.check(heff.matrix, heff.support)
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    def test_strip_wrapped_past_the_frame_end(self, mid_hermite, domain):
+        M, K = mid_hermite.cfg.frame_size, mid_hermite.cfg.K
+        ch = ChannelRealization((PathSpec(1.0, 0, 0.5),
+                                 PathSpec(0.6 - 0.3j, 9, -1.5)), size=M)
+        heff = mid_hermite.effective_channel(ch, domain)
+        # The last symbol reaches back into the first window, the
+        # symbols between do not: window 0 holds two runs.
+        assert heff.support[0, K - 1] and not heff.support[0, K // 2]
+        self.check(heff.matrix, heff.support)
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    def test_full_support_phydyas(self, mid_phydyas, domain):
+        ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
+                            size=mid_phydyas.cfg.frame_size)
+        heff = mid_phydyas.effective_channel(ch, domain)
+        assert heff.support.all()
+        self.check(heff.matrix, heff.support)
+        assert np.array_equal(_gram(heff.matrix, heff.support),
+                              _gram(heff.matrix))
 
 
 def _mirror_by_indices(a):

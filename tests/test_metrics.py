@@ -133,8 +133,9 @@ def two_pass_maps(modem, chan, sigma2, n, seed):
             realization = sample_channel(
                 chan.n_paths, chan.delay_max, chan.doppler_max,
                 trial_stream(seed, index), size=modem.cfg.frame_size)
-            h = modem.effective_channel(realization, domain).matrix
-            power = np.abs(delta_from_gram(_gram(h), s2)) ** 2
+            heff = modem.effective_channel(realization, domain)
+            power = np.abs(delta_from_gram(
+                _gram(heff.matrix, heff.support), s2)) ** 2
             acc = power if acc is None else acc + power
         out[domain] = acc / n
     return out

@@ -231,6 +231,23 @@ class TestBlockPath:
         scale = sum(abs(p.gain) for p in ch.paths)
         assert np.abs(got.matrix - want).max() <= 1e-12 * scale
 
+    @given(data=st.data(), which=st.integers(0, 3),
+           domain=st.sampled_from((AFFINE, FILTERED)))
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_outside_the_support_are_zero(self, oracle_modems, data,
+                                                 which, domain):
+        modem = oracle_modems[which]
+        K = modem.cfg.K
+        ch = data.draw(realizations(modem.cfg.frame_size, modem.cfg.N))
+        heff = modem.effective_channel(ch, domain)
+        assert heff.support.shape == (K, K)
+        rows, cols = (n // K for n in heff.matrix.shape)
+        for j in range(K):
+            for k in range(K):
+                block = heff.matrix[j * rows:(j + 1) * rows,
+                                    k * cols:(k + 1) * cols]
+                assert heff.support[j, k] or not block.any()
+
     @given(which=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
     @settings(max_examples=20, deadline=None)
     def test_filtered_receive_matches_filter_matrix(self, oracle_modems,
@@ -264,6 +281,53 @@ class TestBlockPath:
                 with pytest.raises(ValueError,
                                    match=f"annotated for frames of {size}"):
                     modem.effective_channel(ch, domain)
+
+
+class TestAffineRoute:
+    """The affine channel through the filtered one, (I_K kron C^H) H_f,
+    against the direct projection and the dense oracle."""
+
+    @pytest.mark.parametrize("family,K,through_filtered", [
+        ("hermite", 8, False), ("hermite", 4, False),
+        ("phydyas", 8, True), ("phydyas", 4, True)])
+    def test_route_follows_the_flop_count_at_preset_scale(
+            self, family, K, through_filtered):
+        modem = AfbmModem(design_config(128, K, 256, 192, family))
+        assert modem._affine_from_filtered is through_filtered
+
+    @staticmethod
+    def other_route(modem):
+        twin = AfbmModem(modem.cfg)
+        twin._affine_from_filtered = not twin._affine_from_filtered
+        return twin
+
+    @given(data=st.data(), which=st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_both_routes_match_the_dense_oracle(self, oracle_modems, data,
+                                                which):
+        modem = oracle_modems[which]
+        M = modem.cfg.frame_size
+        ch = data.draw(realizations(M, modem.cfg.N))
+        S = modem.modulation_matrix()
+        want = S.conj().T @ channel_matrix(ch, size=M) @ S
+        scale = sum(abs(p.gain) for p in ch.paths)
+        routes = (modem, self.other_route(modem))
+        got = [m.effective_channel_affine(ch) for m in routes]
+        for heff in got:
+            assert np.abs(heff.matrix - want).max() <= 1e-12 * scale
+        assert np.array_equal(got[0].support, got[1].support)
+
+    @given(data=st.data(), which=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_given_filtered_channel_gives_the_same_bits(self, oracle_modems,
+                                                        data, which):
+        modem = oracle_modems[which]
+        ch = data.draw(realizations(modem.cfg.frame_size, modem.cfg.N))
+        alone = modem.effective_channel_affine(ch)
+        reused = modem.effective_channel_affine(
+            ch, modem.effective_channel_filtered(ch))
+        assert np.array_equal(alone.matrix, reused.matrix)
+        assert np.array_equal(alone.support, reused.support)
 
 
 class TestQam:

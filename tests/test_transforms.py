@@ -28,6 +28,11 @@ class TestDftMatrix:
         F = dft_matrix(9)
         assert np.allclose(F[0], 1 / 3)
 
+    @pytest.mark.parametrize("n", [96, 192, 256])
+    def test_matches_fft_of_identity(self, n):
+        want = np.fft.fft(np.eye(n), axis=0, norm="ortho")
+        assert np.abs(dft_matrix(n) - want).max() < 1e-15
+
 
 class TestChirpParams:
 
@@ -113,6 +118,22 @@ class TestSynthesisBlock:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             synthesis_block(design_config(16, 2, 16, 16, "hermite"))
+
+    @pytest.mark.parametrize("family", ["hermite", "phydyas"])
+    @pytest.mark.parametrize("P", [96, 192, 256])
+    def test_matches_the_composition_through_np_fft(self, family, P):
+        # The defining product, every DFT taken from np.fft of an
+        # identity: F_N^H diag(phases) T F_P pruned^H.
+        N, L = 256, 64
+        cfg = design_config(L, 8, N, P, family)
+        dft = {n: np.fft.fft(np.eye(n), axis=0, norm="ortho") for n in (N, P)}
+        pre = chirp_phases(cfg.c1_P, P)[:L]
+        post = chirp_phases(cfg.c2_P, P)
+        pruned = pre[:, None] * dft[P][:L] * post[None, :]
+        want = dft[N].conj().T @ (
+            grid_alignment_phases(N, cfg.overlap)[:, None]
+            * (expansion_matrix(N, P) @ dft[P] @ pruned.conj().T))
+        assert np.abs(synthesis_block(cfg) - want).max() < 1e-14
 
 
 class TestDesignRules:
