@@ -29,7 +29,7 @@ _EXPORTS = {
               "ModulationConfig", "design_config", "qam_alphabet",
               "qam_demap", "qam_map"),
     "transforms": ("ChirpParams", "daft_matrix", "default_c1", "default_c2",
-                   "dft_matrix", "pruned_daft", "synthesis_block"),
+                   "synthesis_block"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()
            for name in names}

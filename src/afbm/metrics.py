@@ -9,7 +9,9 @@ bit-error Monte Carlo live here as well.
 :func:`sir_pass` is the one SIR Monte-Carlo pass: per realization index
 it draws the channel once and, per domain, computes Delta once; that
 Delta yields the SIR sample and, when asked, the |Delta|^2 that the
-mean interference heatmap accumulates in index order.
+mean interference heatmap accumulates in index order.  It and
+:func:`ber_curve` run their tasks through one runner, :func:`_runner`,
+and fold the results in task order, whatever the number of workers.
 
 The conditioned SIR comes in two flavors.  The ratio
 (d / (||Delta||_F^2 - d)) treats any deviation of the Frobenius mass
@@ -23,6 +25,7 @@ plain form degenerates.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -168,6 +171,15 @@ def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
     return sir_conditioned(delta), (np.abs(delta) ** 2 if heatmaps else None)
 
 
+def _trial_draw(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
+                index: int) -> tuple:
+    """The stream keyed by (seed, index) and the channel drawn first."""
+    rng = _channel.trial_stream(seed, index)
+    return rng, _channel.sample_channel(
+        chan.n_paths, chan.delay_max, chan.doppler_max, rng,
+        size=modem.cfg.frame_size)
+
+
 def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
                 index: int, noise: tuple[tuple[str, float], ...],
                 heatmaps: bool) -> list[tuple]:
@@ -176,10 +188,7 @@ def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
     channel is drawn once for all domains, and both Grams are formed
     before either Delta, so the large filtered channel is gone by then;
     each Gram is released once its Delta is reduced."""
-    rng = _channel.trial_stream(seed, index)
-    realization = _channel.sample_channel(
-        chan.n_paths, chan.delay_max, chan.doppler_max, rng,
-        size=modem.cfg.frame_size)
+    _, realization = _trial_draw(modem, chan, seed, index)
     grams = _domain_grams(modem, realization, [d for d, _ in noise])
     return [_domain_sample(grams.pop(domain), sigma2, heatmaps)
             for domain, sigma2 in noise]
@@ -200,10 +209,17 @@ def _pool_task(args: tuple):
     return _POOL_STATE["work"](_POOL_STATE["modem"], *args)
 
 
-def _pool(modem: AfbmModem, work, workers: int) -> ProcessPoolExecutor:
-    """Pool whose tasks call ``work(modem, *args)`` via :func:`_pool_task`."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                               initargs=(modem.cfg, work))
+@contextmanager
+def _runner(modem: AfbmModem, work, workers: int):
+    """Yield a map from task tuples to ``work(modem, *task)``, in task
+    order: computed lazily in this process at ``workers <= 1``, else by
+    a pool of ``workers`` processes, one task each, shut down on exit."""
+    if workers <= 1:
+        yield lambda tasks: (work(modem, *task) for task in tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                             initargs=(modem.cfg, work)) as pool:
+        yield lambda tasks: pool.map(_pool_task, tasks)
 
 
 def _statistics(conditioned: list[ConditionedSir],
@@ -248,10 +264,10 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     (seed, index), and each domain's Delta is computed once and feeds
     both its SIR sample and its |Delta|^2.  Results are folded in index
     order (``acc + power``, then ``/ count``), whether they come from
-    this process or from workers handed fixed chunks of 8 indices, so
-    the output is reproducible bit-exactly and does not depend on
-    ``workers``.  Memory is one n x n accumulator per domain, not one
-    Delta per realization.
+    this process or from ``workers`` pool processes, so the output is
+    reproducible bit-exactly and does not depend on ``workers``.
+    Memory is one n x n accumulator per domain, not one Delta per
+    realization.
 
     A noise power of zero selects the zero-forcing reading, which
     always applies the relative ridge of
@@ -267,19 +283,21 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
         raise ValueError("need at least one realization, got 0")
     if not sigma2:
         raise ValueError("need at least one domain")
+    for domain, power in sigma2.items():
+        if domain not in (AFFINE, FILTERED):
+            raise ValueError(f"unknown domain {domain!r}")
+        if not 0.0 <= power < np.inf:
+            raise ValueError(f"noise power of domain {domain!r} must be "
+                             f"finite and non-negative, got {power}")
     if averaging not in ("linear", "db"):
         raise ValueError(f"averaging must be 'linear' or 'db', "
                          f"got {averaging!r}")
     noise = tuple(sigma2.items())
-    tasks = [(chan, seed, i, noise, heatmaps) for i in indices]
     conditioned = {domain: [] for domain in sigma2}
     acc = dict.fromkeys(sigma2)
-    pool = _pool(modem, _sir_sample, workers) if workers > 1 else None
-    try:
-        results = (pool.map(_pool_task, tasks, chunksize=8)
-                   if pool is not None
-                   else (_sir_sample(modem, *task) for task in tasks))
-        for per_domain in results:
+    with _runner(modem, _sir_sample, workers) as run:
+        for per_domain in run([(chan, seed, i, noise, heatmaps)
+                               for i in indices]):
             for domain, (sir, power) in zip(sigma2, per_domain):
                 conditioned[domain].append(sir)
                 if heatmaps:
@@ -287,9 +305,6 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
                                    else acc[domain] + power)
             # Free this index's maps before the next index is computed.
             del per_domain, power
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return SirPass(
         statistics={d: _statistics(c, averaging)
                     for d, c in conditioned.items()},
@@ -304,10 +319,7 @@ def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
                seed: int, index: int, sigma2: float, order: int,
                alphabet: np.ndarray) -> tuple[int, int]:
     """One frame: errors and bits.  Draw order: channel, bits, noise."""
-    rng = _channel.trial_stream(seed, index)
-    realization = _channel.sample_channel(
-        chan.n_paths, chan.delay_max, chan.doppler_max, rng,
-        size=modem.cfg.frame_size)
+    rng, realization = _trial_draw(modem, chan, seed, index)
     bits_per_symbol = int(round(np.log2(order)))
     n_bits = modem.cfg.payload_size * bits_per_symbol
     bits = rng.integers(0, 2, size=n_bits)
@@ -337,11 +349,12 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     variance per received sample is 10^(-snr_db/10).  The equalizer in
     each trial regularizes with that variance mapped through the
     receive front end (:meth:`AfbmModem.received_noise_power`), keeping
-    the white-noise detector matched in both domains.  Trials stop at
-    the first batch boundary where ``min_bit_errors`` errors have
-    accumulated, or at ``trials`` frames, whichever comes first; the
-    stopping rule therefore depends only on (seed, trials, batch) and
-    replays bit-exactly.
+    the white-noise detector matched in both domains.  Trials run in
+    batches of ``batch`` frames and stop at the first batch boundary
+    where ``min_bit_errors`` errors have accumulated, or at ``trials``
+    frames, whichever comes first; the stopping rule therefore depends
+    only on (seed, trials, batch) and replays bit-exactly at any
+    ``workers``.
 
     Trial index (snr point p, trial t) keys stream p*trials + t, so
     every point uses channels, payloads and noise that are independent
@@ -349,34 +362,28 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial per point, got {trials}")
+    if batch < 1:
+        raise ValueError(f"need at least one frame per batch, got {batch}")
     if domain not in (AFFINE, FILTERED):
         raise ValueError(f"unknown domain {domain!r}")
+    snr_grid_db = [float(snr_db) for snr_db in snr_grid_db]
+    if not np.all(np.isfinite(snr_grid_db)):
+        raise ValueError(f"SNR values must be finite, got {snr_grid_db}")
     alphabet = qam_alphabet(qam_order)
-    pool = _pool(modem, _ber_trial, workers) if workers > 1 else None
-    try:
-        points = []
+    points = []
+    with _runner(modem, _ber_trial, workers) as run:
         for p_idx, snr_db in enumerate(snr_grid_db):
-            sigma2 = 10.0 ** (-float(snr_db) / 10.0)
-            errors = 0
-            bits_total = 0
-            done = 0
-            while done < trials:
-                size = min(batch, trials - done)
-                tasks = [(chan, domain, seed, p_idx * trials + done + t,
-                          sigma2, qam_order, alphabet) for t in range(size)]
-                if pool is not None:
-                    results = list(pool.map(_pool_task, tasks))
-                else:
-                    results = [_ber_trial(modem, *task) for task in tasks]
-                for err, nbits in results:
+            sigma2 = 10.0 ** (-snr_db / 10.0)
+            errors = bits_total = 0
+            for start in range(0, trials, batch):
+                for err, nbits in run([
+                        (chan, domain, seed, p_idx * trials + t, sigma2,
+                         qam_order, alphabet)
+                        for t in range(start, min(start + batch, trials))]):
                     errors += err
                     bits_total += nbits
-                done += size
                 if errors >= min_bit_errors:
                     break
-            points.append(BerPoint(snr_db=float(snr_db), bit_errors=errors,
+            points.append(BerPoint(snr_db=snr_db, bit_errors=errors,
                                    bits_total=bits_total))
-        return points
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    return points

@@ -277,7 +277,9 @@ class AfbmModem:
         # Column energies of the bank, one fold of the squared taps.
         self._bank_energy = self._fold(self._taps ** 2)
 
-        composed = synthesis_block(cfg) @ self._chirped_transform()
+        # Synthesis o the L-point DAFT of the precoder.
+        composed = synthesis_block(cfg) @ daft_matrix(
+            ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
         gram_diag = self._bank_energy @ (np.abs(composed) ** 2)
         act = active_indices(cfg.L)
         if np.any(gram_diag[act] <= 0):
@@ -318,25 +320,6 @@ class AfbmModem:
             out[a % N:a % N + b - a] += values[a - lo:b - lo]
             a = b
         return out
-
-    # ------------------------------------------------------------ chain parts
-
-    def _chirped_transform(self) -> np.ndarray:
-        """The L-point DAFT of the precoder."""
-        cfg = self.cfg
-        return daft_matrix(ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
-
-    def precoder(self) -> np.ndarray:
-        """L x L precoding matrix: chirped transform times the gain vector.
-
-        The middle L/2 columns are exactly zero, mirroring the guard
-        band of the subcarrier mapping.
-        """
-        return self._chirped_transform() * self._comp[None, :]
-
-    def synthesis_matrix(self) -> np.ndarray:
-        """The N x L synthesis isometry between the P-stage and the bank grid."""
-        return synthesis_block(self.cfg)
 
     # ------------------------------------------------------------- fast paths
 

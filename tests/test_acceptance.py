@@ -16,7 +16,8 @@ import pytest
 from afbm import (AFFINE, FILTERED, AfbmModem, ChannelConfig, ChirpParams,
                   apply_channel, ber_curve, channel_matrix, daft_matrix,
                   delta_from_gram, design_config, sample_channel,
-                  sir_conditioned, sir_pass, sir_waveform, trial_stream)
+                  sir_conditioned, sir_pass, sir_waveform,
+                  synthesis_block, trial_stream)
 from afbm.cli import PRESETS, run
 from afbm.equalize import _gram
 from afbm.modem import mapping_matrix
@@ -179,7 +180,7 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
         if np.abs(W.conj().T @ W - np.eye(n)).max() >= 1e-10:
             failures.append("transform unitarity")
 
-    Q = mid_hermite.synthesis_matrix()
+    Q = synthesis_block(mid_hermite.cfg)
     if np.abs(Q.conj().T @ Q - np.eye(64)).max() >= 1e-10:
         failures.append("synthesis isometry")
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -97,18 +99,6 @@ class TestSirStatistics:
         assert db.samples_db == lin.samples_db
         assert db.average_db < lin.average_db
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("domain,counts", [
-        (AFFINE, [(53, 320), (29, 640)]),
-        (FILTERED, [(54, 320), (11, 640)]),
-    ])
-    def test_counts_are_pinned(self, small_modem, domain, counts, workers):
-        # Recorded before the in-place detection path: the 2 dB point
-        # stops after two batches of 5 frames, the 12 dB point runs all 20.
-        pts = ber_curve(small_modem, SMALL_CHANNEL, domain, [2.0, 12.0], 20,
-                        7, min_bit_errors=40, batch=5, workers=workers)
-        assert [(p.bit_errors, p.bits_total) for p in pts] == counts
-
     def test_worker_count_does_not_change_results(self, small_modem):
         kw = dict(averaging="db")
         a = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
@@ -200,10 +190,22 @@ class TestSirPass:
 
     @pytest.mark.parametrize("sigma2,indices,reason", [
         ({AFFINE: 0.0}, [], "at least one realization"),
-        ({}, [0], "at least one domain")])
-    def test_rejects_empty_pass(self, toy_modem, sigma2, indices, reason):
+        ({}, [0], "at least one domain"),
+        ({"delay": 0.1}, [0], "unknown domain 'delay'"),
+        ({AFFINE: 0.0, FILTERED: -1e-3}, [0], "'filtered' must be finite"),
+        ({AFFINE: float("nan")}, [0], "'affine' must be finite"),
+        ({FILTERED: float("inf")}, [0], "'filtered' must be finite")])
+    def test_rejects_bad_arguments(self, toy_modem, sigma2, indices,
+                                   reason):
         with pytest.raises(ValueError, match=reason):
             sir_pass(toy_modem, SMALL_CHANNEL, sigma2, indices, 5)
+
+    def test_failing_pool_leaves_no_worker(self, toy_modem):
+        # trial_stream refuses the negative index inside a worker.
+        with pytest.raises(ValueError, match="non-negative"):
+            sir_pass(toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, [0, -1, 1],
+                     5, workers=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestBerCurve:
@@ -249,3 +251,23 @@ class TestBerCurve:
         b = ber_curve(small_modem, SMALL_CHANNEL, FILTERED, [6.0], 8, 2,
                       workers=2, **kw)
         assert a == b
+
+    @pytest.mark.parametrize("domain,snr,trials,batch,reason", [
+        (AFFINE, [6.0], 0, 25, "at least one trial"),
+        (AFFINE, [6.0], 4, 0, "at least one frame per batch"),
+        (AFFINE, [6.0], 4, -2, "at least one frame per batch"),
+        ("delay", [6.0], 4, 25, "unknown domain 'delay'"),
+        (FILTERED, [6.0, float("nan")], 4, 25, "SNR values must be finite"),
+        (FILTERED, [float("-inf")], 4, 25, "SNR values must be finite")])
+    def test_rejects_bad_arguments(self, toy_modem, domain, snr, trials,
+                                   batch, reason):
+        with pytest.raises(ValueError, match=reason):
+            ber_curve(toy_modem, SMALL_CHANNEL, domain, snr, trials, 5,
+                      batch=batch)
+
+    def test_failing_pool_leaves_no_worker(self, toy_modem):
+        # trial_stream refuses the negative seed inside a worker.
+        with pytest.raises(ValueError, match="non-negative"):
+            ber_curve(toy_modem, SMALL_CHANNEL, AFFINE, [8.0], 4, -1,
+                      workers=2)
+        assert multiprocessing.active_children() == []
