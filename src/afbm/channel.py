@@ -74,8 +74,8 @@ class ChannelConfig:
             raise ValueError(
                 f"cannot place {self.n_paths - 1} distinct nonzero delays "
                 f"in [1, {self.delay_max}]")
-        if self.doppler_max < 0:
-            raise ValueError(f"doppler_max must be >= 0, "
+        if not 0 <= self.doppler_max < math.inf:
+            raise ValueError(f"doppler_max must be finite and >= 0, "
                              f"got {self.doppler_max}")
 
 

@@ -123,16 +123,23 @@ class ExperimentReport:
 # ------------------------------------------------------------- serialization
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number"}
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string"}
 
 
 def _cast(key: str, value, cast):
-    """cast(value), refused with the config key named when it fails."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} must be {_TYPE_NAMES[cast]}, "
-                         f"got {value!r}") from None
+    """``value`` as a ``cast``, refused with the config key named when it
+    is not one; nothing is truncated or coerced.  An integer may be an
+    integral float, and a number anything but a boolean that float()
+    reads (YAML leaves a dotless exponent such as 1e-3 a string)."""
+    integral = isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) == (cast is bool):
+        if cast is float:
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                return float(value)
+        elif isinstance(value, cast) or (cast is int and integral):
+            return cast(value)
+    raise ValueError(f"{key} must be {_TYPE_NAMES[cast]}, got {value!r}")
 
 
 def _spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -161,8 +168,7 @@ def _spec_to_dict(spec: ExperimentSpec) -> dict:
 
 
 def _spec_from_dict(doc: dict) -> ExperimentSpec:
-    defaults = ExperimentSpec(kind=str(doc.get("kind", "")))
-    known = _spec_to_dict(defaults)
+    known = _spec_to_dict(ExperimentSpec(kind=""))
     unknown = sorted(set(doc) - set(known))
     mod, chan = doc.get("modulation", {}), doc.get("channel", {})
     for name, section in (("modulation", mod), ("channel", chan)):
@@ -192,7 +198,7 @@ def _spec_from_dict(doc: dict) -> ExperimentSpec:
         value = _cast("sigma2", sigma2, float)
         pairs = ((AFFINE, value), (FILTERED, value))
     return ExperimentSpec(
-        kind=str(doc.get("kind", "")),
+        kind=read("kind", str),
         L=read("modulation.L", int),
         K=read("modulation.K", int),
         N=read("modulation.N", int),

@@ -6,26 +6,19 @@ both domains even though the receive chains color the noise; that
 mismatch is part of the modeled receiver, not an implementation
 shortcut.
 
-BER frames detect through :func:`mmse_detect`, which solves the normal
-equations for the one received vector and never forms the equalizer:
-it fills one triangle of the Gram with ``zherk``, factors it in place
-and solves, without mirroring the Gram or copying Heff to conjugate it.
+One Gram serves both fast paths: :func:`_gram` forms the lower
+triangle of Heff^H Heff, over the effective channel's block support
+only, and never mirrors it.  :func:`delta_from_gram`, the SIR hot
+path, reads Delta = I - r (G + r I)^-1 from one Cholesky inverse of
+that triangle and mirrors the inverse, so Delta is the one matrix made
+exactly Hermitian.  At zero noise r is always a relative ridge of
+1e-10 times the mean Gram diagonal, so a zero-forcing Delta is set by
+that one stated regularizer, not by roundoff.  :func:`mmse_detect`,
+for BER frames, factors the triangle in place and solves the normal
+equations for the one received vector without forming the equalizer.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
-fast paths are checked against; the SIR hot path is
-:func:`delta_from_gram` of the Gram :func:`_gram` forms, which reads
-Delta = I - r (G + r I)^-1 from a single Cholesky inverse.  Either
-path returns Delta as a plain square array.  At zero noise r is always
-a relative ridge of 1e-10 times the mean Gram diagonal, so a
-zero-forcing Delta is set by that one stated regularizer, not by
-roundoff.  The SIR path forms the Gram Heff^H Heff through
-:func:`_gram` and the inverse through ``zpotri``, each on one triangle
-mirrored exactly Hermitian; the oracle keeps the plain product and the
-solve.  :func:`_gram` reads the effective channel's block support:
-per receive window it multiplies only the runs of consecutive symbols
-that window can see, so a short prototype's Gram skips the blocks its
-symbols never reach; a full or absent support is one product over all
-of Heff.
+fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -79,32 +72,21 @@ def _mirror_lower(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lower_gram(h: np.ndarray) -> np.ndarray:
-    """h^H h on and below the diagonal, zeros above.
-
-    ``zherk`` fills one triangle of h^T conj(h), the conjugate (that is,
-    the transpose) of h^H h, reading a C-ordered h as its Fortran
-    transpose without a copy.  Transposing puts the filled triangle at
-    the bottom of h^H h.
-    """
-    return scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T
-
-
 def _gram(h: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-    """h^H h from one triangle, mirrored so the result is exactly Hermitian.
+    """h^H h on and below the diagonal, exact zeros above: the layout
+    whose ``.T`` view ``zpotrf`` reads as the upper triangle of
+    conj(h^H h), in :func:`delta_from_gram` and :func:`mmse_detect`.
 
-    With a block ``support`` (see :class:`afbm.modem.EffectiveChannel`)
-    that leaves some blocks out, the lower triangle is summed over the
-    receive windows from the blocks that can be nonzero only.  Per
-    window, each run of consecutive supported symbols adds its own
-    ``zherk`` triangle on the diagonal, and each pair of runs adds one
-    product below it; blocks outside the support contribute nothing.
-    Without a support, or with a full one, it is one ``zherk`` over all
-    of h.  The strict upper triangle is then copied from the lower one
-    conjugated.
+    ``zherk`` reads a C-ordered h as its Fortran transpose without a
+    copy and fills the upper triangle of h^T conj(h), the transpose of
+    h^H h.  With a block ``support`` (see
+    :class:`afbm.modem.EffectiveChannel`) that leaves some blocks out,
+    each receive window adds one ``zherk`` triangle per run of
+    consecutive supported symbols and one product per pair of runs
+    below them; a full or absent support is one ``zherk`` over all of h.
     """
     if support is None or support.all():
-        return _mirror_lower(_lower_gram(h))
+        return scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T
     K = support.shape[0]
     rows, w = h.shape[0] // K, h.shape[1] // K
     out = np.zeros((h.shape[1],) * 2, dtype=complex)
@@ -112,11 +94,12 @@ def _gram(h: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
         window = h[j * rows:(j + 1) * rows]
         for i, (a, b) in enumerate(runs):
             run = window[:, a * w:b * w]
-            out[a * w:b * w, a * w:b * w] += _lower_gram(run)
+            out[a * w:b * w, a * w:b * w] += scipy.linalg.blas.zherk(
+                1.0, run.T, trans=0, lower=0).T
             for c, d in runs[:i]:
                 out[a * w:b * w, c * w:d * w] += \
                     run.conj().T @ window[:, c * w:d * w]
-    return _mirror_lower(out)
+    return out
 
 
 def _rank_deficient(n: int, sigma2: float) -> ValueError:
@@ -175,9 +158,11 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     and a well-conditioned Gram reads Delta = I to within r, that is an
     infinite SIR.
 
-    The inverse comes from ``zpotrf`` + ``zpotri`` on one triangle
-    (about n^3 flops, against 7n^3/3 for a factorization and an n-column
-    solve) and is mirrored exactly Hermitian.  A Gram the factorization
+    Only the lower triangle of ``gram`` and its diagonal are read, so
+    the triangle :func:`_gram` forms serves as it is.  The inverse comes
+    from ``zpotrf`` + ``zpotri`` on that triangle (about n^3 flops,
+    against 7n^3/3 for a factorization and an n-column solve) and is
+    mirrored, so Delta is exactly Hermitian.  A Gram the factorization
     rejects raises ValueError naming n and r.
     """
     if not sigma2 >= 0:
@@ -234,27 +219,25 @@ def mmse_detect(heff: EffectiveChannel, received: np.ndarray,
     with ``equalize_and_detect(mmse(heff, sigma2), received, alphabet)``
     up to roundoff in the soft estimates.
 
-    The Gram is one triangle, factored in place: ``zherk`` reads the
-    C-ordered Heff as its Fortran transpose and fills the upper triangle
-    of conj(Heff^H Heff); conjugating that exactly gives the Gram's own
-    upper triangle, which takes sigma2 on its diagonal and goes to
-    ``zpotrf`` and ``zpotrs`` without a copy.  Heff^H r is read as
-    conj(Heff^T conj(r)), so Heff is never conjugated either, and the
-    only n x n array is the Gram itself.
+    The Gram is :func:`_gram`'s triangle over the channel's block
+    support.  It takes sigma2 on its diagonal, and its ``.T`` view, the
+    upper triangle of conj(Heff^H Heff + sigma2 I), is factored in
+    place.  The right-hand side Heff^T conj(r) is conj(Heff^H r), so
+    the solve returns the conjugated soft estimates; conjugating that
+    n-vector gives them.  Neither Heff nor the Gram is conjugated, and
+    the only n x n array is the Gram itself.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     Hm = heff.matrix
     received = _received_vector(received, Hm.shape[0])
     n = Hm.shape[1]
-    reg = scipy.linalg.blas.zherk(1.0, Hm.T, trans=0, lower=0)
-    np.conjugate(reg, out=reg)
+    reg = _gram(Hm, heff.support)
     reg[np.diag_indices(n)] += sigma2
-    factor, info = scipy.linalg.lapack.zpotrf(reg, lower=0, clean=0,
+    factor, info = scipy.linalg.lapack.zpotrf(reg.T, lower=0, clean=0,
                                               overwrite_a=1)
     if info != 0:
         raise _rank_deficient(n, sigma2)
-    rhs = Hm.T @ received.conj()
-    soft, _ = scipy.linalg.lapack.zpotrs(factor, np.conjugate(rhs, out=rhs),
+    soft, _ = scipy.linalg.lapack.zpotrs(factor, Hm.T @ received.conj(),
                                          lower=0, overwrite_b=1)
-    return _nearest_symbols(soft, alphabet)
+    return _nearest_symbols(soft.conj(), alphabet)

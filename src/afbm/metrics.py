@@ -281,6 +281,11 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     indices = list(indices)
     if not indices:
         raise ValueError("need at least one realization, got 0")
+    if min(indices) < 0:
+        raise ValueError(f"realization indices must be >= 0, "
+                         f"got {min(indices)}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not sigma2:
         raise ValueError("need at least one domain")
     for domain, power in sigma2.items():
@@ -366,6 +371,8 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
         raise ValueError(f"need at least one frame per batch, got {batch}")
     if domain not in (AFFINE, FILTERED):
         raise ValueError(f"unknown domain {domain!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     snr_grid_db = [float(snr_db) for snr_db in snr_grid_db]
     if not np.all(np.isfinite(snr_grid_db)):
         raise ValueError(f"SNR values must be finite, got {snr_grid_db}")

@@ -36,6 +36,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             ChannelConfig(n_paths=5, delay_max=3, doppler_max=1.0)
 
+    @pytest.mark.parametrize("doppler_max", [np.nan, np.inf, -np.inf, -0.5])
+    def test_config_requires_finite_non_negative_doppler(self, doppler_max):
+        with pytest.raises(ValueError,
+                           match="doppler_max must be finite and >= 0"):
+            ChannelConfig(n_paths=2, delay_max=3, doppler_max=doppler_max)
+
 
 class TestSampleChannel:
 

@@ -56,6 +56,17 @@ class TestSpecSerialization:
         assert spec.sigma2_for("affine") == 0.01
         assert spec.sigma2_for("filtered") == 0.01
 
+    def test_integral_numbers_read_as_integers(self):
+        spec = parse_spec(SMALL_BER.replace("trials: 6", "trials: 6.0")
+                          + "qam_order: 16.0\n")
+        assert (spec.trials, spec.qam_order) == (6, 16)
+        assert type(spec.trials) is int and type(spec.qam_order) is int
+
+    def test_dotless_exponent_reads_as_a_number(self):
+        # YAML leaves 1e-3 a string; float() reads it.
+        spec = parse_spec("kind: sir-channel\nsigma2: 1e-3\n")
+        assert spec.sigma2_for("affine") == 1e-3
+
     def test_unknown_keys_rejected(self):
         for text, reason in (
                 ("kind: ber\nsnr: [1]\n", "unknown config keys: ['snr']"),
@@ -135,6 +146,16 @@ class TestValidate:
         hits = [v for v in validate(bad)
                 if v.startswith("orthogonality condition")]
         assert hits and "122 > 48" in hits[0]
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-0.5"])
+    def test_bad_doppler_is_a_hard_violation(self, tmp_path, capsys, value):
+        bad = parse_spec(SMALL_SIR.replace("doppler_max: 1.0",
+                                           f"doppler_max: {value}"))
+        want = f"doppler_max must be finite and >= 0, got {bad.doppler_max}"
+        assert want in validate(bad)
+        # the separability override does not lift it
+        with pytest.raises(ValueError, match=want):
+            run(bad, override_orthogonality=True, workers=1)
 
     def test_empty_snr_grid(self):
         bad = parse_spec(SMALL_BER.replace("snr_db: [6, 12]", "snr_db: []"))
@@ -289,6 +310,26 @@ class TestMainAndOutputs:
          "modulation.L must be an integer, got [1]"),
         ("min_bit_errors: 10", "min_bit_errors: 10\nsigma2: [1]",
          "sigma2 must be a number, got [1]"),
+        # Nothing is truncated or coerced on the way in.
+        ("K: 4,", "K: 8.9,", "modulation.K must be an integer, got 8.9"),
+        ("L: 32,", "L: 128.7,", "modulation.L must be an integer, got 128.7"),
+        ("P: [48]", "P: [48, 64.5]",
+         "modulation.P must be an integer, got 64.5"),
+        ("trials: 6", "trials: '6'", "trials must be an integer, got '6'"),
+        ("min_bit_errors: 10", "min_bit_errors: 10\nrealizations: 2.5",
+         "realizations must be an integer, got 2.5"),
+        ("min_bit_errors: 10", "min_bit_errors: 10\nqam_order: true",
+         "qam_order must be an integer, got True"),
+        ("doppler_max: 1.0", "doppler_max: true",
+         "channel.doppler_max must be a number, got True"),
+        ("min_bit_errors: 10", "min_bit_errors: 10\nemit_heatmap: 'false'",
+         "emit_heatmap must be true or false, got 'false'"),
+        ("min_bit_errors: 10", "min_bit_errors: 10\nemit_heatmap: 0",
+         "emit_heatmap must be true or false, got 0"),
+        ("output: out", "output: [x]", "output must be a string, got ['x']"),
+        ("filter: [hermite]", "filter: [hermite, 3]",
+         "modulation.filter must be a string, got 3"),
+        ("kind: ber", "kind: 5", "kind must be a string, got 5"),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, old, new,
                                      reason):

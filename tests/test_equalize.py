@@ -2,15 +2,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
                           apply_channel, sample_channel, trial_stream)
-from afbm.equalize import (_gram, _mirror_lower, delta_from_gram,
-                           delta_matrix, equalize_and_detect, mmse,
-                           mmse_detect)
+from afbm import equalize
+from afbm.equalize import (_gram, _mirror_lower, _solve_spd,
+                           delta_from_gram, delta_matrix,
+                           equalize_and_detect, mmse, mmse_detect)
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
                         design_config, qam_alphabet)
 
@@ -193,31 +195,50 @@ class TestDeltaFromInverse:
         assert f"r={r} " in message
 
 
+def assert_lower_gram(got, h, bound):
+    """got is h^H h on and below the diagonal to within bound, and
+    exactly zero above it."""
+    want = h.conj().T @ h
+    assert got.shape == want.shape
+    assert np.abs(np.tril(got) - np.tril(want)).max() <= bound
+    assert not np.triu(got, 1).any()
+
+
 class TestGram:
 
     @given(st.integers(1, 40), st.integers(1, 24), st.integers(0, 2 ** 16),
            st.sampled_from([1e-8, 1.0, 1e6]))
     @settings(max_examples=40, deadline=None)
-    def test_matches_product_and_is_exactly_hermitian(self, rows, cols,
-                                                      seed, scale):
+    def test_lower_triangle_matches_product(self, rows, cols, seed, scale):
         rng = np.random.default_rng(seed)
         h = scale * (rng.standard_normal((rows, cols))
                      + 1j * rng.standard_normal((rows, cols)))
-        got = _gram(h)
-        want = h.conj().T @ h
-        assert got.shape == (cols, cols)
         bound = 4 * rows * np.finfo(float).eps * np.linalg.norm(h) ** 2
-        assert np.abs(got - want).max() <= bound
-        assert np.array_equal(got, got.conj().T)
+        assert_lower_gram(_gram(h), h, bound)
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     def test_effective_channel_grams(self, mid_hermite, domain):
         ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
                             size=mid_hermite.cfg.frame_size)
         h = mid_hermite.effective_channel(ch, domain).matrix
-        got, want = _gram(h), h.conj().T @ h
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(got, got.conj().T)
+        want = h.conj().T @ h
+        assert_lower_gram(_gram(h), h, 1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    @pytest.mark.parametrize("family", ["hermite", "phydyas"])
+    def test_delta_from_the_triangle_equals_the_mirrored_one(
+            self, mid_hermite, mid_phydyas, family, domain):
+        # delta_from_gram reads one triangle and the trace, so mirroring
+        # the Gram first changes no bit of Delta.
+        modem = {"hermite": mid_hermite, "phydyas": mid_phydyas}[family]
+        ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
+                            size=modem.cfg.frame_size)
+        heff = modem.effective_channel(ch, domain)
+        gram = _gram(heff.matrix, heff.support)
+        for sigma2 in (0.0, 1e-2):
+            got = delta_from_gram(gram, sigma2)
+            want = delta_from_gram(_mirror_lower(gram.copy()), sigma2)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @st.composite
@@ -252,11 +273,9 @@ class TestSupportGram:
 
     @staticmethod
     def check(h, support):
-        got = _gram(h, support)
         want = h.conj().T @ h
-        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(),
-                                                       1e-300)
-        assert np.array_equal(got, got.conj().T)
+        assert_lower_gram(_gram(h, support), h,
+                          1e-12 * max(np.abs(want).max(), 1e-300))
 
     @given(block_sparse())
     @settings(max_examples=60, deadline=None)
@@ -314,8 +333,8 @@ class TestMirrorLower:
         x.flat[rng.integers(0, n * n, 3)] = [-0.0, 0.0 - 0.0j, np.nan]
         make = {"C": lambda m: np.array(m, order="C"),
                 "F": lambda m: np.array(m, order="F"),
-                # zherk and zpotri return Fortran arrays, and _gram and
-                # delta_from_gram mirror their transposed views.
+                # zpotri returns a Fortran array, and delta_from_gram
+                # mirrors its transposed view.
                 "F.T": lambda m: np.array(m.T, order="F").T}[layout]
         got, want = make(x), make(x)
         assert _mirror_lower(got) is got
@@ -346,11 +365,44 @@ class TestDetection:
         assert np.array_equal(got, sent)
 
 
+@pytest.fixture
+def soft_estimates(monkeypatch):
+    """The soft estimates every detector slices, in call order."""
+    seen = []
+    nearest = equalize._nearest_symbols
+
+    def recording(soft, alphabet):
+        seen.append(soft.copy())
+        return nearest(soft, alphabet)
+
+    monkeypatch.setattr(equalize, "_nearest_symbols", recording)
+    return seen
+
+
+def zherk_soft_estimates(heff, received, sigma2):
+    """mmse_detect's soft estimates as it formed them from its own dense
+    zherk: the upper triangle of conj(G) conjugated in place into G's,
+    factored, and solved against the conjugated Heff^T conj(r)."""
+    Hm = heff.matrix
+    n = Hm.shape[1]
+    reg = scipy.linalg.blas.zherk(1.0, Hm.T, trans=0, lower=0)
+    np.conjugate(reg, out=reg)
+    reg[np.diag_indices(n)] += sigma2
+    factor, info = scipy.linalg.lapack.zpotrf(reg, lower=0, clean=0,
+                                              overwrite_a=1)
+    assert info == 0
+    rhs = Hm.T @ received.conj()
+    soft, _ = scipy.linalg.lapack.zpotrs(factor, np.conjugate(rhs, out=rhs),
+                                         lower=0, overwrite_b=1)
+    return soft
+
+
 class TestMmseDetect:
 
     @staticmethod
-    def detect_both(modem, seed, domain, sigma2):
-        """Fast and dense-oracle decisions on one simulated frame."""
+    def frame(modem, seed, domain, sigma2):
+        """One simulated frame: the effective channel, the received
+        vector, the detector's noise power and the alphabet."""
         rng = trial_stream(seed, 0)
         ch = sample_channel(2, 4, 0.5, rng, size=modem.cfg.frame_size)
         alphabet = qam_alphabet(4)
@@ -362,7 +414,14 @@ class TestMmseDetect:
         else:
             heff = modem.effective_channel_filtered(ch)
             received = modem.filtered_receive(r)
-        noise = modem.received_noise_power(domain, sigma2)
+        return heff, received, modem.received_noise_power(domain, sigma2), \
+            alphabet
+
+    @classmethod
+    def detect_both(cls, modem, seed, domain, sigma2):
+        """Fast and dense-oracle decisions on one simulated frame."""
+        heff, received, noise, alphabet = cls.frame(modem, seed, domain,
+                                                    sigma2)
         want = equalize_and_detect(mmse(heff, noise), received, alphabet)
         return mmse_detect(heff, received, noise, alphabet), want
 
@@ -383,6 +442,38 @@ class TestMmseDetect:
         for modem in (mid_hermite, mid_phydyas):
             got, want = self.detect_both(modem, seed, domain, sigma2)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    @pytest.mark.parametrize("seed,sigma2", [(0, 1e-4), (1, 1e-2),
+                                             (2, 0.3)])
+    def test_block_support_matches_dense_oracle(self, mid_hermite,
+                                                soft_estimates, seed,
+                                                domain, sigma2):
+        heff, received, noise, alphabet = self.frame(mid_hermite, seed,
+                                                     domain, sigma2)
+        assert not heff.support.all()
+        want = equalize_and_detect(mmse(heff, noise), received, alphabet)
+        got = mmse_detect(heff, received, noise, alphabet)
+        assert np.array_equal(got, want)
+        H = heff.matrix
+        spd = _solve_spd(H.conj().T @ H, H.conj().T @ received, noise)
+        assert np.abs(soft_estimates[-1] - spd).max() <= \
+            1e-12 * np.abs(spd).max()
+
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("K", [4, 8])
+    def test_full_support_soft_estimates_are_the_zherk_ones(
+            self, mid_phydyas, soft_estimates, K, seed, domain):
+        modem = mid_phydyas if K == 8 else \
+            AfbmModem(design_config(64, 4, 128, 96, "hermite"))
+        heff, received, noise, alphabet = self.frame(modem, seed, domain,
+                                                     1e-2)
+        assert heff.support.all()
+        mmse_detect(heff, received, noise, alphabet)
+        want = zherk_soft_estimates(heff, received, noise)
+        assert np.array_equal(soft_estimates[-1].view(np.int64),
+                              want.view(np.int64))
 
     def test_peak_allocation_below_the_channel(self):
         # One n x n Gram, factored in place, is the only large temporary:

@@ -1,8 +1,10 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from afbm import metrics
 from afbm.channel import ChannelConfig, sample_channel, trial_stream
 from afbm.equalize import _gram, delta_from_gram
 from afbm.filters import custom_prototype
@@ -18,6 +20,19 @@ def small_modem():
 
 
 SMALL_CHANNEL = ChannelConfig(n_paths=2, delay_max=4, doppler_max=0.5)
+
+
+def _failing_task(modem, *task):
+    raise RuntimeError(f"task failed in process {os.getpid()}")
+
+
+def assert_fails_in_a_worker(call):
+    """call() raises the task's error from a pool process, and once it
+    has, no worker process is left behind."""
+    with pytest.raises(RuntimeError, match="task failed in process") as err:
+        call()
+    assert err.value.args[0] != f"task failed in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
 
 
 class TestWaveformSir:
@@ -194,18 +209,22 @@ class TestSirPass:
         ({"delay": 0.1}, [0], "unknown domain 'delay'"),
         ({AFFINE: 0.0, FILTERED: -1e-3}, [0], "'filtered' must be finite"),
         ({AFFINE: float("nan")}, [0], "'affine' must be finite"),
-        ({FILTERED: float("inf")}, [0], "'filtered' must be finite")])
+        ({FILTERED: float("inf")}, [0], "'filtered' must be finite"),
+        ({AFFINE: 0.0}, [0, -1, 1], "indices must be >= 0, got -1")])
     def test_rejects_bad_arguments(self, toy_modem, sigma2, indices,
                                    reason):
         with pytest.raises(ValueError, match=reason):
             sir_pass(toy_modem, SMALL_CHANNEL, sigma2, indices, 5)
 
-    def test_failing_pool_leaves_no_worker(self, toy_modem):
-        # trial_stream refuses the negative index inside a worker.
-        with pytest.raises(ValueError, match="non-negative"):
-            sir_pass(toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, [0, -1, 1],
-                     5, workers=2)
-        assert multiprocessing.active_children() == []
+    def test_rejects_negative_seed(self, toy_modem):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sir_pass(toy_modem, SMALL_CHANNEL, {AFFINE: 0.0}, [0], -1)
+
+    def test_failing_pool_leaves_no_worker(self, toy_modem, monkeypatch):
+        monkeypatch.setattr(metrics, "_sir_sample", _failing_task)
+        assert_fails_in_a_worker(lambda: sir_pass(
+            toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, [0, 1, 2], 5,
+            workers=2))
 
 
 class TestBerCurve:
@@ -265,9 +284,11 @@ class TestBerCurve:
             ber_curve(toy_modem, SMALL_CHANNEL, domain, snr, trials, 5,
                       batch=batch)
 
-    def test_failing_pool_leaves_no_worker(self, toy_modem):
-        # trial_stream refuses the negative seed inside a worker.
-        with pytest.raises(ValueError, match="non-negative"):
-            ber_curve(toy_modem, SMALL_CHANNEL, AFFINE, [8.0], 4, -1,
-                      workers=2)
-        assert multiprocessing.active_children() == []
+    def test_rejects_negative_seed(self, toy_modem):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ber_curve(toy_modem, SMALL_CHANNEL, AFFINE, [8.0], 4, -1)
+
+    def test_failing_pool_leaves_no_worker(self, toy_modem, monkeypatch):
+        monkeypatch.setattr(metrics, "_ber_trial", _failing_task)
+        assert_fails_in_a_worker(lambda: ber_curve(
+            toy_modem, SMALL_CHANNEL, AFFINE, [8.0], 4, 5, workers=2))
