@@ -7,7 +7,7 @@ detectors, and `metrics` the SIR and BER figures of merit.  `cli` wraps
 the whole thing in reproducible YAML-driven experiments.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 import importlib
 

@@ -20,25 +20,28 @@ precoder on the active columns).
 
 Two effective-channel views of a propagation channel are provided:
 the affine domain (after the full matched receive chain) and the
-filtered time domain (after the receive filter bank only).  A channel
-realization is applied symbol by symbol: each symbol's transmit block
-is propagated over its own support (its span plus the largest delay,
-wrapping cyclically) and projected onto the receive windows it
-overlaps, so the mostly-zero dense transmit matrix is never formed.
-The filtered projection weights by the taps and folds.  Each effective
-channel carries its block support, the (receive window, symbol) blocks
-that propagation reached; every other block is exactly zero, and the
-Gram (:func:`afbm.equalize._gram`) skips them.
+filtered time domain (after the receive filter bank only).  Neither
+forms the mostly-zero dense transmit matrix.  Each effective channel
+carries its block support, the (receive window, symbol) blocks that
+propagation reached; every other block is exactly zero, and the Gram
+(:func:`afbm.equalize._gram`) skips them.
 
-The affine channel has two routes, and each modem picks one at build
-from a multiply-add count of its shapes: project each propagated
-symbol with the transmit block's adjoint, or map the filtered channel
-through C^H window by window, (I_K kron C^H) H_f, which is exact
-because C^H folds the taps-weighted window as the adjoint does.  The
-second wins for a prototype long against N (PHYDYAS), where a symbol
-shares many rows with each window; a short one (Hermite) projects
-directly.  :func:`afbm.metrics.sir_pass` hands its filtered channel to
-the affine one, so the second route then costs only the products.
+Each modem fixes at build, from a multiply-add count of its shapes
+(:meth:`AfbmModem._route_through_filtered`), how it builds both.  A
+short prototype (Hermite) propagates each symbol's transmit block over
+its own support (its span plus the largest delay, wrapping cyclically)
+and projects it onto the receive windows it overlaps: with the
+block's adjoint for the affine channel, and by weighting with the taps
+and folding for the filtered one.  A prototype long against N
+(PHYDYAS) shares many rows of each symbol with each window, so there
+a path, a cyclic shift times a diagonal twist, is read on the N-point
+grid instead: each block of the filtered channel is a sum of scalar
+tap weights times rolled copies of C
+(:meth:`AfbmModem._filtered_from_weights`), and the affine channel is
+(I_K kron C^H) H_f, window by window, which is exact because C^H folds
+the taps-weighted window as the adjoint does.
+:func:`afbm.metrics.sir_pass` hands its filtered channel to the affine
+one, so that route then costs only the products.
 
 Effective channels take channel realizations only; the dense matrices
 they are checked against (:meth:`AfbmModem.modulation_matrix`,
@@ -424,6 +427,38 @@ class AfbmModem:
 
     # ------------------------------------------------------ effective channels
 
+    def _twists(self, c) -> list[tuple[int, np.ndarray]]:
+        """Per path of ``c``, its delay modulo the frame and its twist
+        (:func:`afbm.channel._path_twists`).  Anything but a channel
+        realization raises TypeError."""
+        if not isinstance(c, _channel.ChannelRealization):
+            raise TypeError(f"effective channels take a ChannelRealization, "
+                            f"got {type(c).__name__}")
+        return _channel._path_twists(c, self.cfg.frame_size)
+
+    def _reach(self, k: int, n: int):
+        """Where a strip of n <= M rows from symbol k's first frame row
+        lands: (j, lo, hi, first) per segment of it inside receive
+        window j, on window rows [lo, hi) from strip row ``first`` on.
+
+        The strip wraps cyclically past the frame end, so inside a
+        window its rows form at most two contiguous segments: the part
+        before the frame end and the part that wrapped onto the frame
+        start.
+        """
+        cfg = self.cfg
+        M, h, span = cfg.frame_size, cfg.N // 2, self._taps.size
+        start = k * h
+        segments = [(start, min(start + n, M), 0)]
+        if start + n > M:
+            segments.append((0, start + n - M, M - start))
+        for j in range(cfg.K):
+            w0 = j * h
+            for a, b, offset in segments:
+                lo, hi = max(a, w0), min(b, w0 + span)
+                if lo < hi:
+                    yield j, lo - w0, hi - w0, offset + lo - a
+
     def _propagated_pieces(self, c: _channel.ChannelRealization):
         """Each symbol's transmit block propagated through ``c``, cut at
         the receive windows.
@@ -431,21 +466,16 @@ class AfbmModem:
         Symbol k occupies frame rows [k N/2, k N/2 + span).  A path
         delays that support by d (mod M), so the symbol's response lies
         on a strip of span + max d rows starting at k N/2, which wraps
-        cyclically past the frame end; a strip longer than the frame is
-        folded onto itself.  Inside a receive window the strip's rows
-        form at most two contiguous segments: the part before the frame
-        end and the part that wrapped onto the frame start.
+        cyclically past the frame end (:meth:`_reach`); a strip longer
+        than the frame is folded onto itself.
 
         Yields (k, j, lo, hi, piece): ``piece`` is the strip of symbol k
         on rows [lo, hi) of receive window j, window-relative.
         """
-        if not isinstance(c, _channel.ChannelRealization):
-            raise TypeError(f"effective channels take a ChannelRealization, "
-                            f"got {type(c).__name__}")
+        twists = self._twists(c)
         cfg = self.cfg
         M, h = cfg.frame_size, cfg.N // 2
         span, width = self._tx_block.shape
-        twists = _channel._path_twists(c, M)
         length = span + max(d for d, _ in twists)
         for k in range(cfg.K):
             start = k * h
@@ -456,28 +486,24 @@ class AfbmModem:
             if length > M:
                 strip[:length - M] += strip[M:]
                 strip = strip[:M]
-            n = strip.shape[0]
-            # (first frame row, end row, first strip row) per segment.
-            segments = [(start, min(start + n, M), 0)]
-            if start + n > M:
-                segments.append((0, start + n - M, M - start))
-            for j in range(cfg.K):
-                w0 = j * h
-                for a, b, offset in segments:
-                    lo, hi = max(a, w0), min(b, w0 + span)
-                    if lo < hi:
-                        yield (k, j, lo - w0, hi - w0,
-                               strip[offset + lo - a:offset + hi - a])
+            for j, lo, hi, first in self._reach(k, strip.shape[0]):
+                yield k, j, lo, hi, strip[first:first + hi - lo]
 
     def _route_through_filtered(self) -> bool:
-        """Whether the affine channel costs fewer multiply-adds as
-        (I_K kron C^H) times the filtered one than projected directly.
+        """Whether this modem builds its filtered channel from per-window
+        tap weights and its affine channel through the filtered one.
 
         Counted for a delay-free channel: the direct projection spends
         (L/2)^2 per row a symbol shares with a receive window, the route
-        through the filtered channel N (L/2)^2 per block it touches.  A
-        prototype long against N shares many rows per block, so the
-        second is cheaper.
+        through the filtered channel N (L/2)^2 per block it touches.
+        The filtered kernels compare the same way: the fold of the
+        propagated pieces costs per shared row, the tap-weight kernel
+        (:meth:`_filtered_from_weights`) a fixed N x L/2 product per
+        path, class and block.  A prototype long against N (PHYDYAS)
+        shares many rows per block, so the block-wise routes are
+        cheaper; a short one (Hermite) projects its affine channel
+        directly and folds its filtered one, and the two share the
+        propagated pieces.
         """
         cfg = self.cfg
         k = np.arange(cfg.K)
@@ -529,9 +555,16 @@ class AfbmModem:
 
         Rows live on the NK-point receive bank output; columns are the
         payload coordinates.  With an identity channel this matrix is
-        a near isometry.  ``c`` is propagated symbol by symbol as in
-        :meth:`effective_channel_affine`.
+        a near isometry.  A modem that routes its affine channel
+        through this one (:meth:`_route_through_filtered`) builds it
+        from per-window tap weights (:meth:`_filtered_from_weights`);
+        any other propagates ``c`` symbol by symbol as in
+        :meth:`effective_channel_affine`, weights each piece by the
+        taps and folds it onto the window grid.  Both give the same
+        block support.
         """
+        if self._affine_from_filtered:
+            return self._filtered_from_weights(c)
         cfg = self.cfg
         # The taps are real, so they weight the interleaved real/imaginary
         # float view of each strip, which then folds onto the window grid.
@@ -544,6 +577,82 @@ class AfbmModem:
                        flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2])
             support[j, k] = True
         return EffectiveChannel(out, FILTERED, support)
+
+    def _weight_table(self, twists) -> np.ndarray:
+        """Tap weights of the filtered channel per j - k, path and class.
+
+        Window row r (of span) of receive window j is frame row jh + r
+        (h = N/2) and folds onto grid row rho = r mod N.  A path of
+        delay d and twist tau feeds it from row i = (jh + r - kh - d)
+        mod M of symbol k, when i < span, with taps[r] tau[jh + r]
+        taps[i] C[i mod N].  Since M is a multiple of h, i mod N is
+        (rho - d + c h) mod N, where the class c = (j - k + e 2M/N)
+        mod 2 and e counts the times the delay wrapped past the frame
+        start.  A twist is a pure tone, so tau[jh + r] is tau[r] turned
+        by the tone's phase at jh, and i depends on j - k only.
+
+        Entry [rho, u, p, c] sums taps[r] tau_p[r] taps[i] over the r of
+        class c that fold onto rho, for j - k = K - 1 - u.
+        """
+        cfg = self.cfg
+        N, K, M, h = cfg.N, cfg.K, cfg.frame_size, cfg.N // 2
+        span = self._taps.size
+        # Window rows padded to whole grid periods; r past span weighs 0.
+        r = np.arange(-(-span // N) * N)
+        taps_at = np.zeros(M)
+        taps_at[:span] = self._taps
+        j_minus_k = (K - 1 - np.arange(2 * K - 1))[:, None]
+        table = np.zeros((N, 2 * K - 1, len(twists), 2), dtype=complex)
+        for p, (d, twist) in enumerate(twists):
+            source = r + j_minus_k * h - d
+            wraps = -(source // M)
+            lead = np.zeros(r.size, dtype=complex)
+            lead[:span] = self._taps * twist[:span]
+            values = lead * taps_at[source % M]
+            cls = (j_minus_k + wraps * (2 * M // N)) % 2
+            for half in (0, 1):
+                table[:, :, p, half] = np.where(cls == half, values, 0) \
+                    .reshape(2 * K - 1, -1, N).sum(axis=1).T
+        return table
+
+    def _filtered_from_weights(self, c) -> EffectiveChannel:
+        """The filtered channel as scalar tap weights times rolled C.
+
+        Block (j, k) is a sum over paths p and classes c of
+        diag(w_jkpc) R_pc, where R_pc holds C's rows at
+        (rho - d + c h) mod N and w_jkpc is the tone phase of path p at
+        window j times the :meth:`_weight_table` entry of j - k.  Each
+        window's weights are applied to the stacked R_pc by one batched
+        product over its N rows, zero-weight blocks included, so no
+        propagated row is formed and every entry is written once.  The
+        support is the fold's, from the strips' reach.
+        """
+        twists = self._twists(c)
+        cfg = self.cfg
+        N, K, M, h = cfg.N, cfg.K, cfg.frame_size, cfg.N // 2
+        span, w = self._tx_block.shape
+        # Allocated before the temporaries: after them, the heap kept
+        # about 1 MB more resident over a sir-channel run (glibc).
+        out = np.empty((K, N, K, w), dtype=complex)
+        table = self._weight_table(twists)
+        delays = np.array([d for d, _ in twists])
+        rolled = (np.arange(N)[:, None, None] - delays[None, :, None]
+                  + np.array([0, h])) % N
+        stacked = self._spread[rolled].reshape(N, 2 * len(twists), w)
+        dopplers = np.array([path.doppler for path in c.paths])
+        phase = np.exp(-2j * np.pi * h * np.arange(K)[:, None] * dopplers / M)
+        for j in range(K):
+            # Window j reads table rows K - 1 - j ... 2K - 2 - j, the
+            # j - k of symbols 0 ... K - 1.
+            weights = table[:, K - 1 - j:2 * K - 1 - j] * \
+                phase[j, None, None, :, None]
+            np.matmul(weights.reshape(N, K, -1), stacked, out=out[j])
+        support = np.zeros((K, K), dtype=bool)
+        length = min(span + delays.max(), M)
+        for k in range(K):
+            for j, *_ in self._reach(k, length):
+                support[j, k] = True
+        return EffectiveChannel(out.reshape(N * K, K * w), FILTERED, support)
 
     def effective_channel(self, c, domain: str) -> EffectiveChannel:
         """The effective channel of realization ``c`` in domain ``domain``."""

@@ -103,6 +103,7 @@ def test_waveform_sir_peak_location(acceptance_recorder):
         "; ".join(notes) + f"; {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_channel_sir_averages(channel_sir_report, acceptance_recorder):
     avg, _ = _table(channel_sir_report)
     misses = []
@@ -120,6 +121,7 @@ def test_channel_sir_averages(channel_sir_report, acceptance_recorder):
         acceptance_recorder, 3, "channel SIR table averages", ok, detail)
 
 
+@pytest.mark.slow
 def test_filtered_worst_case_dominance(channel_sir_report,
                                        acceptance_recorder):
     avg, minimum = _table(channel_sir_report)
@@ -135,6 +137,7 @@ def test_filtered_worst_case_dominance(channel_sir_report,
         "margins dB: " + ", ".join(margins))
 
 
+@pytest.mark.slow
 def test_ber_ordering_and_gap(acceptance_recorder):
     t0 = time.perf_counter()
     ordering_ok = True

@@ -244,6 +244,26 @@ class TestValidate:
             run(bad, workers=1)
         assert str(refused.value) == reason
 
+    @pytest.mark.parametrize("field,values,reason", [
+        ("P", (48, 48), "P has duplicate entries [48]"),
+        ("filters", ("hermite", "phydyas", "hermite"),
+         "filters has duplicate entries ['hermite']"),
+        ("domains", ("filtered", "filtered"),
+         "domains has duplicate entries ['filtered']"),
+    ])
+    def test_duplicate_grid_entries_refused_before_compute(
+            self, monkeypatch, field, values, reason):
+        bad = replace(parse_spec(SMALL_SIR), **{field: values})
+        assert reason in validate(bad)
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setitem(cli._RUNNERS, "sir-channel", no_compute)
+        with pytest.raises(ValueError) as refused:
+            run(bad, workers=1)
+        assert str(refused.value) == reason
+
 
 class TestRun:
 
@@ -330,6 +350,15 @@ class TestMainAndOutputs:
         ("filter: [hermite]", "filter: [hermite, 3]",
          "modulation.filter must be a string, got 3"),
         ("kind: ber", "kind: 5", "kind must be a string, got 5"),
+        # A repeated grid entry would be computed and written twice.
+        ("P: [48]", "P: [48, 48]", "modulation.P has duplicate entries [48]"),
+        ("filter: [hermite]", "filter: [hermite, hermite]",
+         "modulation.filter has duplicate entries ['hermite']"),
+        ("domains: [affine, filtered]",
+         "domains: [filtered, affine, filtered]",
+         "domains has duplicate entries ['filtered']"),
+        ("snr_db: [6, 12]", "snr_db: [6, 12, 6.0]",
+         "snr_db has duplicate entries [6.0]"),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, old, new,
                                      reason):

@@ -125,7 +125,7 @@ class TestDeltaFromInverse:
         heff = modem.effective_channel(ch, domain)
         want = delta_matrix(mmse(heff, sigma2), heff)
         gram = _gram(heff.matrix)
-        got = delta_from_gram(gram, sigma2)
+        got = delta_from_gram(gram.copy(), sigma2)
         n = gram.shape[0]
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, sigma2)
@@ -147,7 +147,7 @@ class TestDeltaFromInverse:
         r = sigma2 if sigma2 > 0 else _zero_forcing_ridge(gram)
         lam, vec = np.linalg.eigh(gram)
         want = (vec * (lam / (lam + r))) @ vec.conj().T
-        got = delta_from_gram(gram, sigma2)
+        got = delta_from_gram(gram.copy(), sigma2)
         assert np.array_equal(got, got.conj().T)
         assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, r)
 
@@ -171,7 +171,7 @@ class TestDeltaFromInverse:
     ], ids=["identity", "rank-one", "near-singular"])
     def test_zero_noise_is_one_factorization_with_the_ridge(
             self, factorizations, gram):
-        got = delta_from_gram(gram, 0.0)
+        got = delta_from_gram(gram.copy(), 0.0)
         assert factorizations == [gram.shape]
         r = _zero_forcing_ridge(gram)
         want = np.eye(6) - r * np.linalg.inv(gram + r * np.eye(6))
@@ -185,6 +185,28 @@ class TestDeltaFromInverse:
             h = mid_hermite.effective_channel(ch, domain).matrix
             delta_from_gram(_gram(h), 0.0)
         assert factorizations == [(256, 256)] * 2
+
+    @pytest.mark.parametrize("block_support", [False, True])
+    @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
+    def test_ridge_and_factorization_work_on_the_given_gram(
+            self, mid_hermite, domain, block_support):
+        # delta_from_gram owns its argument: r goes on the Gram's own
+        # diagonal and the inverse overwrites it, so Delta is that
+        # buffer and no n x n temporary is allocated.
+        ch = sample_channel(3, 16, 2.0, trial_stream(20250819, 1),
+                            size=mid_hermite.cfg.frame_size)
+        heff = mid_hermite.effective_channel(ch, domain)
+        gram = _gram(heff.matrix, heff.support if block_support else None)
+        want = delta_from_gram(gram.copy(), 0.0)
+        tracemalloc.start()
+        try:
+            got = delta_from_gram(gram, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, gram)
+        assert peak < gram.nbytes / 2
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sigma2,r", [(0.0, "-1e-10"), (0.5, "0.5")])
     def test_failed_factorization_names_dimension_and_ridge(self, sigma2, r):
@@ -236,7 +258,7 @@ class TestGram:
         heff = modem.effective_channel(ch, domain)
         gram = _gram(heff.matrix, heff.support)
         for sigma2 in (0.0, 1e-2):
-            got = delta_from_gram(gram, sigma2)
+            got = delta_from_gram(gram.copy(), sigma2)
             want = delta_from_gram(_mirror_lower(gram.copy()), sigma2)
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

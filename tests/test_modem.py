@@ -193,9 +193,11 @@ DOPPLER_MAX = 2.0
 
 @st.composite
 def realizations(draw, M, N):
-    """1-3 paths whose delays hit 0, at least N/2, M-1 and at least M,
-    with Dopplers at and inside +-DOPPLER_MAX."""
-    delay = st.one_of(st.just(0), st.integers(N // 2, M - 1), st.just(M - 1),
+    """1-3 distinct paths whose delays hit 0, below N/2, at least N/2,
+    M-1 and at least M (wrapping past the frame start), with Dopplers
+    at and inside +-DOPPLER_MAX."""
+    delay = st.one_of(st.just(0), st.integers(1, N // 2),
+                      st.integers(N // 2, M - 1), st.just(M - 1),
                       st.integers(M, 3 * M))
     delays = draw(st.lists(delay, min_size=1, max_size=3, unique=True))
     doppler = st.one_of(st.sampled_from((-DOPPLER_MAX, DOPPLER_MAX)),
@@ -287,6 +289,32 @@ class TestBlockPath:
                     modem.effective_channel(ch, domain)
 
 
+KERNEL_GRID = {"scale": st.sampled_from(("toy", "mid")),
+               "family": st.sampled_from(("phydyas", "hermite")),
+               "K": st.sampled_from((1, 2, 3, 8))}
+
+
+@pytest.fixture(scope="module")
+def kernel_twins():
+    """(scale, family, K) -> a modem and its twin with the route flag
+    flipped, the one that builds its filtered channel from tap weights
+    first."""
+    cache = {}
+
+    def twins(scale, family, K):
+        if (scale, family, K) not in cache:
+            L, N, P = {"toy": (8, 16, 12), "mid": (64, 128, 96)}[scale]
+            modem = AfbmModem(design_config(L, K, N, P, family))
+            twin = AfbmModem(modem.cfg)
+            twin._affine_from_filtered = not modem._affine_from_filtered
+            cache[scale, family, K] = (
+                (modem, twin) if modem._affine_from_filtered
+                else (twin, modem))
+        return cache[scale, family, K]
+
+    return twins
+
+
 class TestAffineRoute:
     """The affine channel through the filtered one, (I_K kron C^H) H_f,
     against the direct projection and the dense oracle."""
@@ -321,17 +349,48 @@ class TestAffineRoute:
             assert np.abs(heff.matrix - want).max() <= 1e-12 * scale
         assert np.array_equal(got[0].support, got[1].support)
 
-    @given(data=st.data(), which=st.integers(0, 3))
+    @given(data=st.data(), **KERNEL_GRID)
     @settings(max_examples=30, deadline=None)
-    def test_given_filtered_channel_gives_the_same_bits(self, oracle_modems,
-                                                        data, which):
-        modem = oracle_modems[which]
-        ch = data.draw(realizations(modem.cfg.frame_size, modem.cfg.N))
-        alone = modem.effective_channel_affine(ch)
-        reused = modem.effective_channel_affine(
-            ch, modem.effective_channel_filtered(ch))
-        assert np.array_equal(alone.matrix, reused.matrix)
-        assert np.array_equal(alone.support, reused.support)
+    def test_given_filtered_channel_gives_the_same_bits(
+            self, kernel_twins, data, scale, family, K):
+        for modem in kernel_twins(scale, family, K):
+            ch = data.draw(realizations(modem.cfg.frame_size, modem.cfg.N))
+            alone = modem.effective_channel_affine(ch)
+            reused = modem.effective_channel_affine(
+                ch, modem.effective_channel_filtered(ch))
+            assert np.array_equal(alone.matrix.view(np.int64),
+                                  reused.matrix.view(np.int64))
+            assert np.array_equal(alone.support, reused.support)
+
+
+class TestFilteredKernels:
+    """The tap-weight kernel of the filtered channel against the fold of
+    the propagated pieces and the dense oracle, at toy and mid scale and
+    K in {1, 2, 3, 8}.  PHYDYAS (and Hermite at K <= 3) builds it by
+    default, and each modem's twin with the route flag flipped builds
+    the other kernel.  Hermite with odd K and
+    PHYDYAS with even K put M mod N at N/2, where a delay that wraps
+    past the frame start lands in the half-shift class; at K = 1 the
+    strip is longer than the frame."""
+
+    @given(data=st.data(), **KERNEL_GRID)
+    @settings(max_examples=60, deadline=None)
+    def test_weights_match_the_dense_oracle_and_the_fold(
+            self, kernel_twins, data, scale, family, K):
+        weights, fold = kernel_twins(scale, family, K)
+        M = weights.cfg.frame_size
+        ch = data.draw(realizations(M, weights.cfg.N))
+        want = weights.filter_matrix().T @ (
+            channel_matrix(ch, size=M) @ weights.modulation_matrix())
+        # Each path's filtered channel has Frobenius norm about
+        # |gain| sqrt(KL/2): unit-norm transmit columns through a
+        # near-tight receive bank.
+        norm = sum(abs(p.gain) for p in ch.paths) * np.sqrt(want.shape[1])
+        got = [m.effective_channel_filtered(ch) for m in (weights, fold)]
+        for heff in got:
+            assert heff.domain == FILTERED
+            assert np.linalg.norm(heff.matrix - want) <= 1e-12 * norm
+        assert np.array_equal(got[0].support, got[1].support)
 
 
 class TestQam:
