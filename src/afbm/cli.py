@@ -142,13 +142,6 @@ def _cast(key: str, value, cast):
     raise ValueError(f"{key} must be {_TYPE_NAMES[cast]}, got {value!r}")
 
 
-def _duplicates(name: str, values) -> list[str]:
-    """The refusal of a grid list whose entries repeat: a repeated
-    scenario, domain or SNR point would be computed and written twice."""
-    repeated = sorted({v for v in values if values.count(v) > 1})
-    return [f"{name} has duplicate entries {repeated}"] if repeated else []
-
-
 def _spec_to_dict(spec: ExperimentSpec) -> dict:
     return {
         "kind": spec.kind,
@@ -195,11 +188,7 @@ def _spec_from_dict(doc: dict) -> ExperimentSpec:
         if not many:
             return _cast(key, value, cast)
         values = value if isinstance(value, (list, tuple)) else (value,)
-        values = tuple(_cast(key, v, cast) for v in values)
-        repeated = _duplicates(key, values)
-        if repeated:
-            raise ValueError(repeated[0])
-        return values
+        return tuple(_cast(key, v, cast) for v in values)
 
     sigma2 = doc.get("sigma2", 0.0)
     if isinstance(sigma2, dict):
@@ -303,8 +292,13 @@ def validate(spec: ExperimentSpec) -> list[str]:
             out.append(f"unknown domain {dom!r}")
     if not spec.domains:
         out.append("at least one domain is required")
+    # A repeated scenario, domain or SNR point would be computed and
+    # written twice.
     for name in ("P", "filters", "domains", "snr_db"):
-        out += _duplicates(name, getattr(spec, name))
+        values = getattr(spec, name)
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            out.append(f"{name} has duplicate entries {repeated}")
     if spec.averaging not in ("linear", "db"):
         out.append(f"averaging must be 'linear' or 'db', "
                    f"got {spec.averaging!r}")

@@ -160,19 +160,21 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
 
     Only the lower triangle of ``gram`` and its diagonal are read, so
     the triangle :func:`_gram` forms serves as it is.  The function
-    owns ``gram``, as :func:`mmse_detect` owns :func:`_gram`'s output:
-    r is added on its diagonal in place and a complex C-ordered
-    ``gram`` is factored in place, so a caller that needs the Gram
-    afterwards passes a copy.  The inverse comes from ``zpotrf`` +
-    ``zpotri`` on that triangle (about n^3 flops, against 7n^3/3 for a
-    factorization and an n-column solve) and is mirrored, so Delta is
-    exactly Hermitian.  A Gram the factorization rejects raises
-    ValueError naming n and r.
+    owns a writeable complex C-ordered ``gram``, as :func:`mmse_detect`
+    owns :func:`_gram`'s output: r is added on its diagonal and it is
+    factored in place, so it is changed also when the call raises, and
+    a caller that needs it afterwards passes a copy.  Any other
+    ``gram`` is copied first and left as it is.  The inverse comes
+    from ``zpotrf`` + ``zpotri`` on that triangle (about n^3 flops,
+    against 7n^3/3 for a factorization and an n-column solve) and is
+    mirrored, so Delta is exactly Hermitian.  A Gram the factorization
+    rejects raises ValueError naming n and r.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
     n = gram.shape[0]
     r = sigma2 if sigma2 > 0 else 1e-10 * np.trace(gram).real / n
+    gram = np.require(gram, complex, ["C", "W"])
     gram[np.diag_indices(n)] += r
     # The Fortran view of the C-ordered G + r I is its conjugate; its
     # upper triangle is the lower one, which ends up holding the

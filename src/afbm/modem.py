@@ -26,22 +26,22 @@ carries its block support, the (receive window, symbol) blocks that
 propagation reached; every other block is exactly zero, and the Gram
 (:func:`afbm.equalize._gram`) skips them.
 
-Each modem fixes at build, from a multiply-add count of its shapes
-(:meth:`AfbmModem._route_through_filtered`), how it builds both.  A
-short prototype (Hermite) propagates each symbol's transmit block over
-its own support (its span plus the largest delay, wrapping cyclically)
-and projects it onto the receive windows it overlaps: with the
-block's adjoint for the affine channel, and by weighting with the taps
-and folding for the filtered one.  A prototype long against N
-(PHYDYAS) shares many rows of each symbol with each window, so there
-a path, a cyclic shift times a diagonal twist, is read on the N-point
-grid instead: each block of the filtered channel is a sum of scalar
+A path is a cyclic shift times a diagonal twist, so the filtered
+channel is read on the N-point grid: each block is a sum of scalar
 tap weights times rolled copies of C
-(:meth:`AfbmModem._filtered_from_weights`), and the affine channel is
-(I_K kron C^H) H_f, window by window, which is exact because C^H folds
-the taps-weighted window as the adjoint does.
+(:meth:`AfbmModem.effective_channel_filtered`).
+
+The affine channel has two routes, and each modem picks one at build
+from a multiply-add count of its shapes: propagate each symbol's
+transmit block over its own support (its span plus the largest delay,
+wrapping cyclically) and project it onto the receive windows it
+overlaps with the block's adjoint, or map the filtered channel through
+C^H window by window, (I_K kron C^H) H_f, which is exact because C^H
+folds the taps-weighted window as the adjoint does.  The second wins
+for a prototype long against N (PHYDYAS), where a symbol shares many
+rows with each window; a short one (Hermite) projects directly.
 :func:`afbm.metrics.sir_pass` hands its filtered channel to the affine
-one, so that route then costs only the products.
+one, so the second route then costs only the products.
 
 Effective channels take channel realizations only; the dense matrices
 they are checked against (:meth:`AfbmModem.modulation_matrix`,
@@ -490,20 +490,14 @@ class AfbmModem:
                 yield k, j, lo, hi, strip[first:first + hi - lo]
 
     def _route_through_filtered(self) -> bool:
-        """Whether this modem builds its filtered channel from per-window
-        tap weights and its affine channel through the filtered one.
+        """Whether the affine channel costs fewer multiply-adds as
+        (I_K kron C^H) times the filtered one than projected directly.
 
         Counted for a delay-free channel: the direct projection spends
         (L/2)^2 per row a symbol shares with a receive window, the route
-        through the filtered channel N (L/2)^2 per block it touches.
-        The filtered kernels compare the same way: the fold of the
-        propagated pieces costs per shared row, the tap-weight kernel
-        (:meth:`_filtered_from_weights`) a fixed N x L/2 product per
-        path, class and block.  A prototype long against N (PHYDYAS)
-        shares many rows per block, so the block-wise routes are
-        cheaper; a short one (Hermite) projects its affine channel
-        directly and folds its filtered one, and the two share the
-        propagated pieces.
+        through the filtered channel N (L/2)^2 per block it touches.  A
+        prototype long against N shares many rows per block, so the
+        second is cheaper.
         """
         cfg = self.cfg
         k = np.arange(cfg.K)
@@ -550,34 +544,6 @@ class AfbmModem:
             support[j, k] = True
         return EffectiveChannel(out, AFFINE, support)
 
-    def effective_channel_filtered(self, c) -> EffectiveChannel:
-        """Payload-to-filtered-grid matrix seen by filtered-domain detection.
-
-        Rows live on the NK-point receive bank output; columns are the
-        payload coordinates.  With an identity channel this matrix is
-        a near isometry.  A modem that routes its affine channel
-        through this one (:meth:`_route_through_filtered`) builds it
-        from per-window tap weights (:meth:`_filtered_from_weights`);
-        any other propagates ``c`` symbol by symbol as in
-        :meth:`effective_channel_affine`, weights each piece by the
-        taps and folds it onto the window grid.  Both give the same
-        block support.
-        """
-        if self._affine_from_filtered:
-            return self._filtered_from_weights(c)
-        cfg = self.cfg
-        # The taps are real, so they weight the interleaved real/imaginary
-        # float view of each strip, which then folds onto the window grid.
-        out = np.zeros((cfg.N * cfg.K, cfg.payload_size), dtype=complex)
-        flat = out.view(float)
-        w2 = 2 * self._tx_block.shape[1]
-        support = np.zeros((cfg.K, cfg.K), dtype=bool)
-        for k, j, lo, hi, piece in self._propagated_pieces(c):
-            self._fold(self._taps[lo:hi, None] * piece.view(float), lo,
-                       flat[j * cfg.N:(j + 1) * cfg.N, k * w2:(k + 1) * w2])
-            support[j, k] = True
-        return EffectiveChannel(out, FILTERED, support)
-
     def _weight_table(self, twists) -> np.ndarray:
         """Tap weights of the filtered channel per j - k, path and class.
 
@@ -615,17 +581,23 @@ class AfbmModem:
                     .reshape(2 * K - 1, -1, N).sum(axis=1).T
         return table
 
-    def _filtered_from_weights(self, c) -> EffectiveChannel:
-        """The filtered channel as scalar tap weights times rolled C.
+    def effective_channel_filtered(self, c) -> EffectiveChannel:
+        """Payload-to-filtered-grid matrix seen by filtered-domain detection.
 
-        Block (j, k) is a sum over paths p and classes c of
-        diag(w_jkpc) R_pc, where R_pc holds C's rows at
+        Rows live on the NK-point receive bank output; columns are the
+        payload coordinates.  With an identity channel this matrix is
+        a near isometry.
+
+        A path is a cyclic shift times a diagonal twist, so on the
+        N-point grid block (j, k) is a sum over paths p and classes c
+        of diag(w_jkpc) R_pc, where R_pc holds C's rows at
         (rho - d + c h) mod N and w_jkpc is the tone phase of path p at
         window j times the :meth:`_weight_table` entry of j - k.  Each
-        window's weights are applied to the stacked R_pc by one batched
-        product over its N rows, zero-weight blocks included, so no
+        window's weights are applied to the stacked R_pc by batched
+        products over its N rows, zero-weight blocks included, so no
         propagated row is formed and every entry is written once.  The
-        support is the fold's, from the strips' reach.
+        support is the propagated strips' reach (:meth:`_reach`).
+        Anything but a channel realization as ``c`` raises TypeError.
         """
         twists = self._twists(c)
         cfg = self.cfg
@@ -638,15 +610,21 @@ class AfbmModem:
         delays = np.array([d for d, _ in twists])
         rolled = (np.arange(N)[:, None, None] - delays[None, :, None]
                   + np.array([0, h])) % N
-        stacked = self._spread[rolled].reshape(N, 2 * len(twists), w)
         dopplers = np.array([path.doppler for path in c.paths])
         phase = np.exp(-2j * np.pi * h * np.arange(K)[:, None] * dopplers / M)
-        for j in range(K):
-            # Window j reads table rows K - 1 - j ... 2K - 2 - j, the
-            # j - k of symbols 0 ... K - 1.
-            weights = table[:, K - 1 - j:2 * K - 1 - j] * \
-                phase[j, None, None, :, None]
-            np.matmul(weights.reshape(N, K, -1), stacked, out=out[j])
+        # 64 grid rows at a time: the rolled copies of all N rows would
+        # hold 2 x paths copies of C (1.5 MB at 3 paths, N = 256).
+        for lo in range(0, N, 64):
+            rows = slice(lo, lo + 64)
+            stacked = self._spread[rolled[rows]].reshape(
+                -1, 2 * len(twists), w)
+            for j in range(K):
+                # Window j reads table rows K - 1 - j ... 2K - 2 - j, the
+                # j - k of symbols 0 ... K - 1.
+                weights = table[rows, K - 1 - j:2 * K - 1 - j] * \
+                    phase[j, None, None, :, None]
+                np.matmul(weights.reshape(stacked.shape[0], K, -1), stacked,
+                          out=out[j, rows])
         support = np.zeros((K, K), dtype=bool)
         length = min(span + delays.max(), M)
         for k in range(K):

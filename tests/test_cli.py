@@ -350,21 +350,33 @@ class TestMainAndOutputs:
         ("filter: [hermite]", "filter: [hermite, 3]",
          "modulation.filter must be a string, got 3"),
         ("kind: ber", "kind: 5", "kind must be a string, got 5"),
-        # A repeated grid entry would be computed and written twice.
-        ("P: [48]", "P: [48, 48]", "modulation.P has duplicate entries [48]"),
-        ("filter: [hermite]", "filter: [hermite, hermite]",
-         "modulation.filter has duplicate entries ['hermite']"),
-        ("domains: [affine, filtered]",
-         "domains: [filtered, affine, filtered]",
-         "domains has duplicate entries ['filtered']"),
-        ("snr_db: [6, 12]", "snr_db: [6, 12, 6.0]",
-         "snr_db has duplicate entries [6.0]"),
     ])
     def test_mistyped_value_rejected(self, tmp_path, capsys, old, new,
                                      reason):
         cfg = self.write(tmp_path, SMALL_BER.replace(old, new))
         assert main(["validate", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"error: {reason}\n"
+
+    @pytest.mark.parametrize("old,new,reason", [
+        ("P: [48]", "P: [48, 48]", "P has duplicate entries [48]"),
+        ("filter: [hermite]", "filter: [hermite, hermite]",
+         "filters has duplicate entries ['hermite']"),
+        ("domains: [affine, filtered]",
+         "domains: [filtered, affine, filtered]",
+         "domains has duplicate entries ['filtered']"),
+        ("snr_db: [6, 12]", "snr_db: [6, 12, 6.0]",
+         "snr_db has duplicate entries [6.0]"),
+    ])
+    def test_duplicate_grid_entry_is_a_violation(self, tmp_path, capsys,
+                                                 old, new, reason):
+        # A repeated grid entry would be computed and written twice.
+        out = tmp_path / "never"
+        cfg = self.write(tmp_path, SMALL_BER.replace(old, new))
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().out == f"violation: {reason}\n"
+        assert main(["ber", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
 
     def test_config_and_preset_conflict(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_SIR)

@@ -208,6 +208,21 @@ class TestDeltaFromInverse:
         assert peak < gram.nbytes / 2
         assert np.array_equal(got, want)
 
+    def test_other_layouts_are_copied_and_left_as_they_are(self, rng):
+        a = rng.standard_normal((12, 8)) + 1j * rng.standard_normal((12, 8))
+        gram = a.conj().T @ a
+        want = delta_from_gram(gram.copy(), 0.3)
+        for given in (np.asfortranarray(gram), gram.real.copy()):
+            kept = given.copy()
+            got = delta_from_gram(given, 0.3)
+            assert np.array_equal(given, kept)
+            assert not np.shares_memory(got, given)
+        assert np.array_equal(delta_from_gram(np.asfortranarray(gram), 0.3),
+                              want)
+        read_only = gram.copy()
+        read_only.flags.writeable = False
+        assert np.array_equal(delta_from_gram(read_only, 0.3), want)
+
     @pytest.mark.parametrize("sigma2,r", [(0.0, "-1e-10"), (0.5, "0.5")])
     def test_failed_factorization_names_dimension_and_ridge(self, sigma2, r):
         with pytest.raises(ValueError) as err:

@@ -297,8 +297,8 @@ KERNEL_GRID = {"scale": st.sampled_from(("toy", "mid")),
 @pytest.fixture(scope="module")
 def kernel_twins():
     """(scale, family, K) -> a modem and its twin with the route flag
-    flipped, the one that builds its filtered channel from tap weights
-    first."""
+    flipped, the one that routes its affine channel through the
+    filtered one first."""
     cache = {}
 
     def twins(scale, family, K):
@@ -363,34 +363,48 @@ class TestAffineRoute:
             assert np.array_equal(alone.support, reused.support)
 
 
-class TestFilteredKernels:
-    """The tap-weight kernel of the filtered channel against the fold of
-    the propagated pieces and the dense oracle, at toy and mid scale and
-    K in {1, 2, 3, 8}.  PHYDYAS (and Hermite at K <= 3) builds it by
-    default, and each modem's twin with the route flag flipped builds
-    the other kernel.  Hermite with odd K and
-    PHYDYAS with even K put M mod N at N/2, where a delay that wraps
-    past the frame start lands in the half-shift class; at K = 1 the
-    strip is longer than the frame."""
+class TestFilteredKernel:
+    """The tap-weight kernel of the filtered channel against the dense
+    oracle, at toy and mid scale and K in {1, 2, 3, 8}.  Hermite with
+    odd K and PHYDYAS with even K put M mod N at N/2, where a delay
+    that wraps past the frame start lands in the half-shift class; at
+    K = 1 the strip is longer than the frame."""
 
     @given(data=st.data(), **KERNEL_GRID)
     @settings(max_examples=60, deadline=None)
-    def test_weights_match_the_dense_oracle_and_the_fold(
+    def test_matches_the_dense_oracle_and_the_propagated_support(
             self, kernel_twins, data, scale, family, K):
-        weights, fold = kernel_twins(scale, family, K)
-        M = weights.cfg.frame_size
-        ch = data.draw(realizations(M, weights.cfg.N))
-        want = weights.filter_matrix().T @ (
-            channel_matrix(ch, size=M) @ weights.modulation_matrix())
+        through, direct = kernel_twins(scale, family, K)
+        M = through.cfg.frame_size
+        ch = data.draw(realizations(M, through.cfg.N))
+        want = through.filter_matrix().T @ (
+            channel_matrix(ch, size=M) @ through.modulation_matrix())
         # Each path's filtered channel has Frobenius norm about
         # |gain| sqrt(KL/2): unit-norm transmit columns through a
         # near-tight receive bank.
         norm = sum(abs(p.gain) for p in ch.paths) * np.sqrt(want.shape[1])
-        got = [m.effective_channel_filtered(ch) for m in (weights, fold)]
-        for heff in got:
-            assert heff.domain == FILTERED
-            assert np.linalg.norm(heff.matrix - want) <= 1e-12 * norm
-        assert np.array_equal(got[0].support, got[1].support)
+        heff = through.effective_channel_filtered(ch)
+        assert heff.domain == FILTERED
+        assert np.linalg.norm(heff.matrix - want) <= 1e-12 * norm
+        # The direct affine projection takes its support from the
+        # propagated pieces.
+        assert np.array_equal(
+            heff.support, direct.effective_channel_affine(ch).support)
+
+    @pytest.mark.parametrize("scale", ["toy", "mid"])
+    def test_support_grows_with_the_delay(self, kernel_twins, scale):
+        # Hermite at K = 8 is the grid's one banded support, so a delay
+        # reaches receive windows that a delay-free channel does not.
+        through, direct = kernel_twins(scale, "hermite", 8)
+        N, M = through.cfg.N, through.cfg.frame_size
+        supports = []
+        for d in (0, N // 4, N, 2 * N):
+            ch = ChannelRealization((PathSpec(1.0, d, 0.1),), size=M)
+            supports.append(through.effective_channel_filtered(ch).support)
+            assert np.array_equal(
+                supports[-1], direct.effective_channel_affine(ch).support)
+        for narrow, wide in zip(supports, supports[1:]):
+            assert (wide >= narrow).all() and wide.sum() > narrow.sum()
 
 
 class TestQam:
