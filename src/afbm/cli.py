@@ -421,7 +421,6 @@ def _run_sir_channel(spec: ExperimentSpec, workers: int):
                     ("maximum_db", stats.maximum_db),
                     ("minimum_db", stats.minimum_db),
                     ("realizations", stats.realizations),
-                    ("substituted", stats.substituted),
                     ("sigma2", spec.sigma2_for(domain))):
                 rows.append((family, P, domain, metric, value))
             samples.extend(
@@ -521,60 +520,57 @@ def _write_csv(path: str, report_header: str, header, rows):
 
 
 def _heatmap_rows(power: np.ndarray):
-    """The CSV text of each row of the 2-D map ``power``, one at a time.
+    """The CSV text of each row of the square map ``power``, one at a
+    time, formatted from its upper triangle alone.
 
-    Each cell is ``repr`` of its value.  A float64 map whose bits equal
-    its transpose's (every map :func:`afbm.metrics.sir_pass` makes) is
-    formatted from its upper triangle alone: row i formats
-    ``power[i, i:]`` and takes each cell left of the diagonal from the
-    text already made for its mirror, since equal bits give equal text.
-    Those pending texts stay one string per row, read by a cursor.
-    Float64 rows are formatted as ``repr`` of their list, whose items
-    never contain ``", "``, then split.  A map that is not bitwise
-    symmetric (``-0.0`` against ``0.0``, NaN payloads, not square)
-    formats every cell of every row; one of another dtype calls
-    ``repr`` per cell.
+    Each cell is ``repr`` of its value.  ``power`` is float64 and its
+    bits equal its transpose's (:func:`_write_heatmaps` refuses any
+    other map), so row i formats ``power[i, i:]`` and takes each cell
+    left of the diagonal from the text already made for its mirror,
+    since equal bits give equal text.  Those pending texts stay one
+    string per row, read by a cursor.  Rows are formatted as ``repr``
+    of their list, whose items never contain ``", "``, then split.
     """
-    rows, cols = power.shape
-    template = "".join(f"@,{j},%s\n" for j in range(cols))
-    floats = power.dtype == np.float64
-    mirrored = floats and rows == cols and np.array_equal(
-        power.view(np.int64), power.T.view(np.int64))
+    template = "".join(f"@,{j},%s\n" for j in range(power.shape[1]))
     texts, cursors = [], []
     for i, row in enumerate(power):
-        values = row[i:].tolist() if mirrored else row.tolist()
-        if floats:
-            text = repr(values)[1:-1]
-            cells = text.split(", ") if values else []
-        else:
-            cells = [repr(v) for v in values]
-        if mirrored:
-            lower = []
-            for j, above in enumerate(texts):
-                start = cursors[j]
-                end = above.find(",", start)
-                if end < 0:
-                    end = len(above)
-                lower.append(above[start:end])
-                cursors[j] = end + 2
-            texts.append(text)
-            cursors.append(len(cells[0]) + 2)
-            cells = lower + cells
-        yield template.replace("@", str(i)) % tuple(cells)
+        text = repr(row[i:].tolist())[1:-1]
+        cells = []
+        for j, above in enumerate(texts):
+            start = cursors[j]
+            end = above.find(",", start)
+            if end < 0:
+                end = len(above)
+            cells.append(above[start:end])
+            cursors[j] = end + 2
+        upper = text.split(", ")
+        texts.append(text)
+        cursors.append(len(upper[0]) + 2)
+        yield template.replace("@", str(i)) % tuple(cells + upper)
 
 
 def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
     """One CSV per map in ``report.heatmaps``, formatted a row at a time.
 
     Each cell is written as ``repr`` of its float, the same text
-    :func:`_num` gives, so the files match the per-cell writer byte for
-    byte.  The maps :func:`afbm.metrics.sir_pass` makes are exactly
-    Hermitian-symmetric, so each is formatted from its upper triangle
-    and every mirrored pair is formatted once (:func:`_heatmap_rows`).
+    :func:`_num` gives.  The maps :func:`afbm.metrics.sir_pass` makes
+    are float64 and symmetric bit for bit, so each is formatted from
+    its upper triangle and every mirrored pair is formatted once
+    (:func:`_heatmap_rows`).  Any other map is refused with a
+    ValueError naming it, before its file is opened.
     """
     written = []
     for (family, P, domain), power in report.heatmaps:
-        path = os.path.join(out_dir, f"heatmap-{family}-P{P}-{domain}.csv")
+        name = f"heatmap-{family}-P{P}-{domain}"
+        if not (power.dtype == np.float64 and power.ndim == 2
+                and power.shape[0] == power.shape[1]
+                and np.array_equal(power.view(np.int64),
+                                   power.T.view(np.int64))):
+            raise ValueError(
+                f"{name}: a heatmap must be a square float64 map equal to "
+                f"its transpose bit for bit, got {power.dtype} "
+                f"{power.shape}")
+        path = os.path.join(out_dir, f"{name}.csv")
         with _atomic_open(path) as fh:
             fh.write(stamp)
             fh.write("row,col,power\n")

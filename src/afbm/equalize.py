@@ -10,12 +10,14 @@ One Gram serves both fast paths: :func:`_gram` forms the lower
 triangle of Heff^H Heff, over the effective channel's block support
 only, and never mirrors it.  :func:`delta_from_gram`, the SIR hot
 path, reads Delta = I - r (G + r I)^-1 from one Cholesky inverse of
-that triangle and mirrors the inverse, so Delta is the one matrix made
-exactly Hermitian.  At zero noise r is always a relative ridge of
-1e-10 times the mean Gram diagonal, so a zero-forcing Delta is set by
-that one stated regularizer, not by roundoff.  :func:`mmse_detect`,
-for BER frames, factors the triangle in place and solves the normal
-equations for the one received vector without forming the equalizer.
+that triangle and returns Delta's lower triangle, unmirrored too: Delta
+is Hermitian, so the triangle is all of it, and the SIR pass reads
+both the SIR and |Delta|^2 from it.  At zero noise r is always a
+relative ridge of 1e-10 times the mean Gram diagonal, so a zero-forcing
+Delta is set by that one stated regularizer, not by roundoff.
+:func:`mmse_detect`, for BER frames, factors the triangle in place and
+solves the normal equations for the one received vector without
+forming the equalizer.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against.
@@ -49,27 +51,6 @@ class Equalizer:
     matrix: np.ndarray
     domain: str
     noise_var: float
-
-
-_MIRROR_BLOCK = 64
-
-
-def _mirror_lower(a: np.ndarray) -> np.ndarray:
-    """Copy the strict lower triangle of ``a`` conjugated onto the upper
-    one, in place, so ``a`` is exactly Hermitian.
-
-    Works in stripes of 64 rows: the panel right of each diagonal block
-    is copied from the panel below it as one slice assignment, and only
-    the diagonal block goes through triangle indices.
-    """
-    n = a.shape[0]
-    for i0 in range(0, n, _MIRROR_BLOCK):
-        i1 = min(i0 + _MIRROR_BLOCK, n)
-        a[i0:i1, i1:] = a[i1:, i0:i1].T.conj()
-        block = a[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
-        block[upper] = block.T[upper].conj()
-    return a
 
 
 def _gram(h: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
@@ -148,7 +129,8 @@ def delta_matrix(eq: Equalizer, heff: EffectiveChannel) -> np.ndarray:
 
 
 def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
-    """Delta computed from the effective-channel Gram alone.
+    """Delta computed from the effective-channel Gram alone, as its
+    lower triangle.
 
     Delta = (G + r I)^-1 G = I - r (G + r I)^-1, identical to composing
     :func:`mmse` with :func:`delta_matrix` but read from one inverse;
@@ -167,8 +149,10 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     ``gram`` is copied first and left as it is.  The inverse comes
     from ``zpotrf`` + ``zpotri`` on that triangle (about n^3 flops,
     against 7n^3/3 for a factorization and an n-column solve) and is
-    mirrored, so Delta is exactly Hermitian.  A Gram the factorization
-    rejects raises ValueError naming n and r.
+    not mirrored: as with :func:`_gram`, only the lower triangle of the
+    result is Delta's, and the entries above it hold -r times what
+    ``gram`` held there.  A Gram the factorization rejects raises
+    ValueError naming n and r.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
@@ -188,7 +172,7 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
         raise ValueError(
             f"delta_from_gram: {n}x{n} Gram matrix plus r={r:g} is not "
             f"positive definite to working precision (LAPACK info {info})")
-    delta = _mirror_lower(inverse.T)
+    delta = inverse.T
     delta *= -r
     delta[np.diag_indices(n)] += 1.0
     return delta

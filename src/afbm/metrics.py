@@ -13,13 +13,12 @@ mean interference heatmap accumulates in index order.  It and
 :func:`ber_curve` run their tasks through one runner, :func:`_runner`,
 and fold the results in task order, whatever the number of workers.
 
-The conditioned SIR comes in two flavors.  The ratio
-(d / (||Delta||_F^2 - d)) treats any deviation of the Frobenius mass
-from the d unit diagonals as interference; under MMSE the diagonal
-shrinks below one, the denominator can go negative, and the ratio
-loses meaning.  The bias-robust variant sum|diag|^2 / sum|offdiag|^2
-stays well defined, and is substituted automatically whenever the
-plain form degenerates.
+The conditioned SIR is sum|Delta_ii|^2 / sum_{i!=j}|Delta_ij|^2.  The
+pass reads it from the lower triangle that
+:func:`afbm.equalize.delta_from_gram` returns, the interference summed
+directly as twice the strict lower triangle's power; the |Delta|^2
+triangles are summed and their mean mirrored once per pass.
+:func:`sir_conditioned` reads a dense Delta, for the oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg.lapack
 
 from . import channel as _channel
 from .equalize import _gram, delta_from_gram, mmse_detect
@@ -58,23 +58,10 @@ class WaveformSir(NamedTuple):
 
 @dataclass(frozen=True)
 class ConditionedSir:
-    """Channel-conditioned SIR of one realization, two estimators.
+    """Channel-conditioned SIR of one realization in dB: the restored
+    diagonal's power against the off-diagonal power."""
 
-    ``nominal_db`` takes the restored diagonal as exactly unit, so the
-    interference power is the Frobenius mass in excess of the dimension;
-    it degenerates when shrinkage pulls the total mass below that.
-    ``diagonal_db`` measures the actual diagonal against the actual
-    off-diagonal power and stays finite whenever interference exists.
-    """
-
-    nominal_db: float
-    diagonal_db: float
-    substituted: bool
-
-    @property
-    def value_db(self) -> float:
-        """The figure of record: diagonal form when the nominal one degenerates."""
-        return self.diagonal_db if self.substituted else self.nominal_db
+    value_db: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +73,6 @@ class SirStatistics:
     minimum_db: float
     realizations: int
     averaging: str
-    substituted: int
     samples_db: tuple[float, ...]
 
 
@@ -124,23 +110,37 @@ def sir_waveform(modem: AfbmModem) -> WaveformSir:
     return WaveformSir(10.0 * np.log10(d / denominator), False)
 
 
+def _sir_db(diag2: float, off2: float) -> float:
+    """diag2 / off2 in dB, or +inf when the off-diagonal power is at
+    most 1e-15 of the diagonal's (of 1, if that is smaller)."""
+    if off2 <= 1e-15 * max(diag2, 1.0):
+        return np.inf
+    return 10.0 * np.log10(diag2 / off2)
+
+
 def sir_conditioned(delta: np.ndarray) -> ConditionedSir:
-    """Conditioned SIR of a square end-to-end matrix Delta."""
+    """Conditioned SIR of a square end-to-end matrix Delta, every entry
+    off its diagonal counted as interference."""
     if delta.shape[0] != delta.shape[1]:
         raise ValueError(f"delta must be square, got {delta.shape}")
-    d = delta.shape[0]
-    fro2 = np.linalg.norm(delta, "fro") ** 2
-    diag2 = float(np.sum(np.abs(np.diag(delta)) ** 2))
-    off2 = max(fro2 - diag2, 0.0)
+    power = np.abs(delta) ** 2
+    diag2 = float(np.trace(power))
+    np.fill_diagonal(power, 0.0)
+    return ConditionedSir(_sir_db(diag2, float(power.sum())))
 
-    nominal_den = fro2 - d
-    substituted = nominal_den <= 0
-    nominal_db = np.inf if substituted else 10.0 * np.log10(d / nominal_den)
-    if off2 <= 1e-15 * max(diag2, 1.0):
-        diagonal_db = np.inf
-    else:
-        diagonal_db = 10.0 * np.log10(diag2 / off2)
-    return ConditionedSir(nominal_db, diagonal_db, substituted)
+
+def _lower_sir_db(delta: np.ndarray) -> float:
+    """Conditioned SIR of a Hermitian Delta from its diagonal and strict
+    lower triangle alone, the entries above the diagonal unread.
+
+    ``delta[1:].T`` is rows 1.. of Delta in Fortran order, and its upper
+    trapezoid is Delta's strict lower triangle; ``zlantr`` takes that
+    triangle's Frobenius norm in place, so the interference, twice its
+    square, is summed without a copy or a mirror.
+    """
+    lower = scipy.linalg.lapack.zlantr("F", delta[1:].T, uplo="U")
+    return _sir_db(float(np.sum(np.abs(np.diag(delta)) ** 2)),
+                   2.0 * lower ** 2)
 
 
 def _domain_gram(heff) -> np.ndarray:
@@ -167,8 +167,10 @@ def _domain_grams(modem: AfbmModem, realization, domains) -> dict:
 
 
 def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
+    """The SIR in dB and, when ``heatmaps`` is set, |Delta|^2, whose
+    lower triangle is the map's (see :func:`_mirrored`)."""
     delta = delta_from_gram(gram, sigma2)
-    return sir_conditioned(delta), (np.abs(delta) ** 2 if heatmaps else None)
+    return _lower_sir_db(delta), (np.abs(delta) ** 2 if heatmaps else None)
 
 
 def _trial_draw(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
@@ -184,7 +186,7 @@ def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
                 index: int, noise: tuple[tuple[str, float], ...],
                 heatmaps: bool) -> list[tuple]:
     """One realization: per (domain, sigma2) of ``noise``, the
-    conditioned SIR and, when ``heatmaps`` is set, |Delta|^2.  The
+    conditioned SIR in dB and, when ``heatmaps`` is set, |Delta|^2.  The
     channel is drawn once for all domains, and both Grams are formed
     before either Delta, so the large filtered channel is gone by then;
     each Gram is released once its Delta is reduced."""
@@ -222,9 +224,8 @@ def _runner(modem: AfbmModem, work, workers: int):
         yield lambda tasks: pool.map(_pool_task, tasks)
 
 
-def _statistics(conditioned: list[ConditionedSir],
-                averaging: str) -> SirStatistics:
-    samples = np.array([c.value_db for c in conditioned])
+def _statistics(samples_db: list[float], averaging: str) -> SirStatistics:
+    samples = np.array(samples_db)
     if averaging == "linear":
         average = 10.0 * np.log10(np.mean(10.0 ** (samples / 10.0)))
     else:
@@ -233,11 +234,18 @@ def _statistics(conditioned: list[ConditionedSir],
         average_db=float(average),
         maximum_db=float(np.max(samples)),
         minimum_db=float(np.min(samples)),
-        realizations=len(conditioned),
+        realizations=len(samples),
         averaging=averaging,
-        substituted=sum(c.substituted for c in conditioned),
         samples_db=tuple(float(s) for s in samples),
     )
+
+
+def _mirrored(power: np.ndarray) -> np.ndarray:
+    """``power``'s lower triangle copied onto its upper one, in place,
+    a row at a time, so no n x n index or value array is made."""
+    for i in range(power.shape[0]):
+        power[i, i + 1:] = power[i + 1:, i]
+    return power
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +275,8 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     this process or from ``workers`` pool processes, so the output is
     reproducible bit-exactly and does not depend on ``workers``.
     Memory is one n x n accumulator per domain, not one Delta per
-    realization.
+    realization.  Each |Delta|^2 is valid on and below its diagonal
+    only; the accumulator is mirrored once, after the mean.
 
     A noise power of zero selects the zero-forcing reading, which
     always applies the relative ridge of
@@ -298,22 +307,21 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
         raise ValueError(f"averaging must be 'linear' or 'db', "
                          f"got {averaging!r}")
     noise = tuple(sigma2.items())
-    conditioned = {domain: [] for domain in sigma2}
+    samples = {domain: [] for domain in sigma2}
     acc = dict.fromkeys(sigma2)
     with _runner(modem, _sir_sample, workers) as run:
         for per_domain in run([(chan, seed, i, noise, heatmaps)
                                for i in indices]):
             for domain, (sir, power) in zip(sigma2, per_domain):
-                conditioned[domain].append(sir)
+                samples[domain].append(sir)
                 if heatmaps:
                     acc[domain] = (power if acc[domain] is None
                                    else acc[domain] + power)
             # Free this index's maps before the next index is computed.
             del per_domain, power
     return SirPass(
-        statistics={d: _statistics(c, averaging)
-                    for d, c in conditioned.items()},
-        heatmaps={d: a / len(indices) for d, a in acc.items()}
+        statistics={d: _statistics(s, averaging) for d, s in samples.items()},
+        heatmaps={d: _mirrored(a / len(indices)) for d, a in acc.items()}
         if heatmaps else {})
 
 

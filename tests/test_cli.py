@@ -556,7 +556,8 @@ class TestAtomicWrites:
         body = (out / "ber-0123456789ab.csv").read_text().splitlines()
         assert len(body) == 2 + 4
 
-    def test_failed_heatmap_leaves_no_partial_file(self, tmp_path):
+    def test_failed_heatmap_leaves_no_partial_file(self, tmp_path,
+                                                   monkeypatch):
         text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
             .replace("realizations: 3", "realizations: 1") \
             .replace("domains: [affine, filtered]", "domains: [affine]") \
@@ -564,10 +565,16 @@ class TestAtomicWrites:
         spec = parse_spec(text)
         assert spec.domains == ("affine",) and spec.emit_heatmap
         report = run(spec, workers=1)
-        [(key, power)] = report.heatmaps
-        power = power.astype(object)
-        power[power.shape[0] // 2, 0] = _Unprintable()
-        report = replace(report, heatmaps=((key, power),))
+        [(_, power)] = report.heatmaps
+        rows = cli._heatmap_rows
+
+        def failing_halfway(power):
+            for i, text in enumerate(rows(power)):
+                if i == power.shape[0] // 2:
+                    raise RuntimeError("write failed partway")
+                yield text
+
+        monkeypatch.setattr(cli, "_heatmap_rows", failing_halfway)
         out = tmp_path / "h"
         with pytest.raises(RuntimeError, match="partway"):
             write_report(spec, report, str(out))
@@ -596,6 +603,8 @@ def _symmetric_map(n, seed, specials=()):
 
 
 def _edge_maps():
+    """Maps the writer formats, and maps it refuses: those that are not
+    float64, not square, or not equal to their transpose bit for bit."""
     tiny = np.finfo(float).tiny
     specials = [0.0, 5e-324, tiny / 3, tiny, 1e-300, 1.0 / 3.0,
                 9999999999999998.0, 1e16, 1.2345678901234567e16,
@@ -607,17 +616,21 @@ def _edge_maps():
     nan[4, 4] = nan[2, 9] = nan[9, 2] = np.nan
     payload = nan.copy()
     payload[9, 2] = -np.nan
-    return {"mirrored-specials": mirrored,
-            "signed-zero-pair": signed_zero,
-            "nan-mirrored": nan,
-            "nan-payloads-differ": payload,
-            "one-by-one": np.array([[0.1 + 0.2]]),
-            "empty": np.zeros((0, 0)),
-            "no-columns": np.zeros((3, 0)),
-            "wide": _symmetric_map(6, 9)[:4]}
+    formatted = {"mirrored-specials": mirrored,
+                 "nan-mirrored": nan,
+                 "one-by-one": np.array([[0.1 + 0.2]]),
+                 "empty": np.zeros((0, 0))}
+    refused = {"signed-zero-pair": signed_zero,
+               "nan-payloads-differ": payload,
+               "no-columns": np.zeros((3, 0)),
+               "wide": _symmetric_map(6, 9)[:4],
+               "one-row": np.zeros(4),
+               "float32": np.eye(3, dtype=np.float32),
+               "objects": np.eye(3).astype(object)}
+    return formatted, refused
 
 
-_EDGE_MAPS = _edge_maps()
+_EDGE_MAPS, _REFUSED_MAPS = _edge_maps()
 
 
 class TestHeatmapWriter:
@@ -629,9 +642,7 @@ class TestHeatmapWriter:
                   np.nextafter(1.0, 2.0), 123456.78901234567, 1e16,
                   1.2345678901234567e16, 2.0 ** 60, 9.999999999999998e22,
                   1e300, np.finfo(float).max]
-        rng = np.random.default_rng(3)
-        power = np.concatenate([values, rng.random(43) * 10.0 ** rng
-                                .integers(-300, 300, 43)]).reshape(6, 10)
+        power = _symmetric_map(len(values) + 3, 3, values)
         report = replace(TestAtomicWrites().report(),
                          heatmaps=((("hermite", 48, "affine"), power),))
         stamp = "# afbm test spec=0123456789ab\n"
@@ -656,6 +667,17 @@ class TestHeatmapWriter:
     def test_symmetric_and_edge_maps_match_the_per_cell_writer(
             self, tmp_path, name):
         self.assert_matches_per_cell(tmp_path, _EDGE_MAPS[name])
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED_MAPS))
+    def test_refuses_a_map_that_is_not_bitwise_symmetric_float64(
+            self, tmp_path, name):
+        report = replace(TestAtomicWrites().report(), heatmaps=(
+            (("hermite", 48, "affine"), _EDGE_MAPS["one-by-one"]),
+            (("phydyas", 64, "filtered"), _REFUSED_MAPS[name])))
+        with pytest.raises(ValueError,
+                           match="^heatmap-phydyas-P64-filtered: "):
+            cli._write_heatmaps(report, str(tmp_path), "# stamp\n")
+        assert os.listdir(tmp_path) == ["heatmap-hermite-P48-affine.csv"]
 
     @given(st.integers(1, 24), st.integers(0, 2 ** 16),
            st.lists(st.floats(allow_nan=True, allow_infinity=True,

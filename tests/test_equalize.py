@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
                           apply_channel, sample_channel, trial_stream)
 from afbm import equalize
-from afbm.equalize import (_gram, _mirror_lower, _solve_spd,
-                           delta_from_gram, delta_matrix,
-                           equalize_and_detect, mmse, mmse_detect)
+from afbm.equalize import (_gram, _solve_spd, delta_from_gram,
+                           delta_matrix, equalize_and_detect, mmse,
+                           mmse_detect)
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
                         design_config, qam_alphabet)
 
@@ -83,7 +83,8 @@ class TestDelta:
         H = heff.matrix
         gram = H.conj().T @ H
         direct = mmse(heff, 0.07).matrix @ H
-        assert np.abs(delta_from_gram(gram, 0.07) - direct).max() < 1e-10
+        assert np.abs(np.tril(delta_from_gram(gram, 0.07) - direct)).max() \
+            < 1e-10
 
     def test_singular_gram_zero_noise_falls_back_to_ridge(self):
         v = np.ones((6, 1), dtype=complex)
@@ -108,9 +109,21 @@ def _zero_forcing_ridge(gram):
     return 1e-10 * np.trace(gram).real / gram.shape[0]
 
 
+def _mirrored(lower):
+    """The Hermitian matrix whose lower triangle is ``lower``'s."""
+    return np.tril(lower) + np.tril(lower, -1).conj().T
+
+
+def _lower_error(got, want):
+    """Largest deviation on and below the diagonal, the part of
+    delta_from_gram's result that is Delta's."""
+    return np.abs(np.tril(got - want)).max()
+
+
 class TestDeltaFromInverse:
-    """delta_from_gram reads Delta = I - r (G + r I)^-1 from one Cholesky
-    inverse; these pin it to the dense oracle and to a spectral one."""
+    """delta_from_gram reads the lower triangle of
+    Delta = I - r (G + r I)^-1 from one Cholesky inverse; these pin it
+    to the dense oracle and to a spectral one."""
 
     @given(which=st.integers(0, 3), seed=st.integers(0, 2 ** 16),
            domain=st.sampled_from((AFFINE, FILTERED)),
@@ -124,11 +137,13 @@ class TestDeltaFromInverse:
                             size=M)
         heff = modem.effective_channel(ch, domain)
         want = delta_matrix(mmse(heff, sigma2), heff)
-        gram = _gram(heff.matrix)
-        got = delta_from_gram(gram.copy(), sigma2)
-        n = gram.shape[0]
-        assert np.array_equal(got, got.conj().T)
-        assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, sigma2)
+        gram = _gram(heff.matrix, heff.support)
+        bound = 8 * gram.shape[0] * EPS * _kappa(gram, sigma2)
+        # The triangle _gram forms, and the same Gram mirrored: the
+        # entries above the diagonal are never read.
+        for given in (gram, _mirrored(gram)):
+            got = delta_from_gram(given.copy(), sigma2)
+            assert _lower_error(got, want) <= bound
 
     @given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 48),
            smallest=st.sampled_from((0.0, 1e-15, 1e-12, 1e-8)),
@@ -148,8 +163,7 @@ class TestDeltaFromInverse:
         lam, vec = np.linalg.eigh(gram)
         want = (vec * (lam / (lam + r))) @ vec.conj().T
         got = delta_from_gram(gram.copy(), sigma2)
-        assert np.array_equal(got, got.conj().T)
-        assert np.abs(got - want).max() <= 8 * n * EPS * _kappa(gram, r)
+        assert _lower_error(got, want) <= 8 * n * EPS * _kappa(gram, r)
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
@@ -175,7 +189,7 @@ class TestDeltaFromInverse:
         assert factorizations == [gram.shape]
         r = _zero_forcing_ridge(gram)
         want = np.eye(6) - r * np.linalg.inv(gram + r * np.eye(6))
-        assert np.abs(got - want).max() <= 1e-9
+        assert _lower_error(got, want) <= 1e-9
 
     def test_zero_noise_mid_scale_grams_factor_once(self, factorizations,
                                                     mid_hermite):
@@ -266,15 +280,15 @@ class TestGram:
     def test_delta_from_the_triangle_equals_the_mirrored_one(
             self, mid_hermite, mid_phydyas, family, domain):
         # delta_from_gram reads one triangle and the trace, so mirroring
-        # the Gram first changes no bit of Delta.
+        # the Gram first changes no bit of Delta's triangle.
         modem = {"hermite": mid_hermite, "phydyas": mid_phydyas}[family]
         ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
                             size=modem.cfg.frame_size)
         heff = modem.effective_channel(ch, domain)
         gram = _gram(heff.matrix, heff.support)
         for sigma2 in (0.0, 1e-2):
-            got = delta_from_gram(gram.copy(), sigma2)
-            want = delta_from_gram(_mirror_lower(gram.copy()), sigma2)
+            got = np.tril(delta_from_gram(gram.copy(), sigma2))
+            want = np.tril(delta_from_gram(_mirrored(gram), sigma2))
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
@@ -348,36 +362,6 @@ class TestSupportGram:
         self.check(heff.matrix, heff.support)
         assert np.array_equal(_gram(heff.matrix, heff.support),
                               _gram(heff.matrix))
-
-
-def _mirror_by_indices(a):
-    """The mirror before it worked in stripes: one gather and scatter
-    through the strict upper triangle's indices."""
-    upper = np.triu_indices(a.shape[0], 1)
-    a[upper] = a.T[upper].conj()
-    return a
-
-
-class TestMirrorLower:
-
-    @given(st.integers(1, 200), st.sampled_from(["C", "F", "F.T"]),
-           st.integers(0, 2 ** 16))
-    @settings(max_examples=60, deadline=None)
-    def test_bytes_match_the_index_mirror(self, n, layout, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        # Signed zeros and NaN, so the comparison sees every bit.
-        x.flat[rng.integers(0, n * n, 3)] = [-0.0, 0.0 - 0.0j, np.nan]
-        make = {"C": lambda m: np.array(m, order="C"),
-                "F": lambda m: np.array(m, order="F"),
-                # zpotri returns a Fortran array, and delta_from_gram
-                # mirrors its transposed view.
-                "F.T": lambda m: np.array(m.T, order="F").T}[layout]
-        got, want = make(x), make(x)
-        assert _mirror_lower(got) is got
-        _mirror_by_indices(want)
-        bits = [np.ascontiguousarray(m).view(np.int64) for m in (got, want)]
-        assert np.array_equal(*bits)
 
 
 class TestDetection:

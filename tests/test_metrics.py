@@ -3,10 +3,12 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afbm import metrics
 from afbm.channel import ChannelConfig, sample_channel, trial_stream
-from afbm.equalize import _gram, delta_from_gram
+from afbm.equalize import _gram, delta_from_gram, delta_matrix, mmse
 from afbm.filters import custom_prototype
 from afbm.metrics import (BerPoint, ber_curve, sir_conditioned, sir_pass,
                           sir_waveform)
@@ -67,19 +69,58 @@ class TestConditionedSir:
         delta = np.eye(512, dtype=complex)
         delta[0, 1] = 0.1
         got = sir_conditioned(delta)
-        assert not got.substituted
-        assert got.nominal_db == pytest.approx(47.09, abs=0.01)
-        assert got.diagonal_db == pytest.approx(47.09, abs=0.01)
+        assert got.value_db == pytest.approx(47.09, abs=0.01)
 
     def test_identity_is_flagged_clean(self):
         got = sir_conditioned(np.eye(64, dtype=complex))
-        assert np.isinf(got.diagonal_db)
+        assert np.isinf(got.value_db)
 
-    def test_shrunk_diagonal_substitutes(self):
-        got = sir_conditioned(0.9 * np.eye(32, dtype=complex))
-        assert got.substituted
-        assert np.isinf(got.nominal_db)     # no off-diagonal energy at all
-        assert got.value_db == got.diagonal_db
+
+def _sir_amplitude(sir_db):
+    """sqrt(off-diagonal / diagonal power) of a SIR reading."""
+    return 10.0 ** (-sir_db / 20.0)
+
+
+class TestPassSampleAgainstOracle:
+    """A sample of the SIR pass, read from Delta's lower triangle, against
+    sir_conditioned of the dense oracle's Delta = mmse(heff, r) Heff."""
+
+    @given(which=st.integers(0, 3), seed=st.integers(0, 2 ** 16),
+           domain=st.sampled_from((AFFINE, FILTERED)),
+           sigma2=st.sampled_from((0.0, 10.0 ** -3.4, 0.3)))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_dense_oracle(self, oracle_modems, which, seed,
+                                      domain, sigma2):
+        modem = oracle_modems[which]
+        M = modem.cfg.frame_size
+        chan = ChannelConfig(n_paths=3, delay_max=min(16, M - 1),
+                             doppler_max=2.0)
+        got = sir_pass(modem, chan, {domain: sigma2}, [0],
+                       seed).statistics[domain].samples_db[0]
+        heff = modem.effective_channel(sample_channel(
+            3, chan.delay_max, 2.0, trial_stream(seed, 0), size=M), domain)
+        gram = heff.matrix.conj().T @ heff.matrix
+        n = gram.shape[0]
+        r = sigma2 if sigma2 > 0 else 1e-10 * np.trace(gram).real / n
+        delta = delta_matrix(mmse(heff, r), heff)
+        want = sir_conditioned(delta).value_db
+        # The two Deltas differ entrywise by at most e = 8 n eps kappa
+        # (test_equalize.py, TestDeltaFromInverse), so the Frobenius
+        # norms of their off-diagonal parts differ by at most n e and
+        # those of their diagonals by sqrt(n) e; the ratio of the norms,
+        # the SIR amplitude a, then moves by at most
+        # (n + sqrt(n) a) e / (||diag|| - sqrt(n) e), and by any amount
+        # once sqrt(n) e reaches ||diag||.  An infinite reading stands
+        # for any a up to the sqrt(1e-15) threshold.
+        eig = np.linalg.eigvalsh(gram + r * np.eye(n))
+        e = 8 * n * np.finfo(float).eps * eig[-1] / eig[0]
+        a = _sir_amplitude(want)
+        diag = np.linalg.norm(np.diag(delta))
+        bound = ((n + np.sqrt(n) * a) * e / (diag - np.sqrt(n) * e)
+                 if diag > np.sqrt(n) * e else np.inf)
+        if np.isinf(got) or np.isinf(want):
+            bound += np.sqrt(1e-15 * max(1.0, 1.0 / diag ** 2))
+        assert abs(_sir_amplitude(got) - a) <= bound
 
 
 class TestSirStatistics:
@@ -130,7 +171,9 @@ class TestSirStatistics:
 
 def two_pass_maps(modem, chan, sigma2, n, seed):
     """The heatmap as a second pass computed it: every Delta redrawn per
-    domain, then summed in index order and divided by the count."""
+    domain, its |Delta|^2 summed in index order and divided by the
+    count, and the lower triangle of the mean, which is the map's,
+    copied onto the upper one."""
     out = {}
     for domain, s2 in sigma2.items():
         acc = None
@@ -142,7 +185,8 @@ def two_pass_maps(modem, chan, sigma2, n, seed):
             power = np.abs(delta_from_gram(
                 _gram(heff.matrix, heff.support), s2)) ** 2
             acc = power if acc is None else acc + power
-        out[domain] = acc / n
+        mean = acc / n
+        out[domain] = np.where(np.tri(len(mean), dtype=bool), mean, mean.T)
     return out
 
 
