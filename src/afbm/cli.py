@@ -229,7 +229,10 @@ def serialize_spec(spec: ExperimentSpec) -> str:
 
 
 def parse_spec(text: str) -> ExperimentSpec:
-    doc = yaml.safe_load(text)
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as err:
+        raise ValueError(f"config is not valid YAML: {err}") from err
     if not isinstance(doc, dict):
         raise ValueError("config must be a mapping")
     return _spec_from_dict(doc)

@@ -6,6 +6,10 @@ channel, and the channel-conditioned SIR of the equalized end-to-end
 matrix of one realization.  Aggregation over realizations and the
 bit-error Monte Carlo live here as well.
 
+The affine receiver is C^H after the filtered one (see
+:mod:`afbm.modem`).  The waveform SIR reads the identity realization's
+affine channel, S^H S, as a conditioned SIR; S is never formed.
+
 :func:`sir_pass` is the one SIR Monte-Carlo pass: per realization index
 it draws the channel once and, per domain, computes Delta once; that
 Delta yields the SIR sample and, when asked, the |Delta|^2 that the
@@ -95,19 +99,15 @@ class BerPoint:
 def sir_waveform(modem: AfbmModem) -> WaveformSir:
     """Intrinsic SIR of the modulation chain with an identity channel.
 
-    The Gram of the transmit matrix has unit diagonal by construction
-    of the compensation, so its off-diagonal Frobenius mass is exactly
-    the per-payload interference power.  Payload independent.  When
-    that mass sits below numerical roundoff the setup is flagged as
-    orthogonal and the value reported as +inf dB.
+    The identity realization's affine channel is S^H S, S the transmit
+    matrix, and its conditioned SIR (:func:`_lower_sir_db`) is the
+    payload's power against the interference leaked from the others.
+    Payload independent.  A +inf reading flags the setup as orthogonal.
     """
-    S = modem.modulation_matrix()
-    gram = S.conj().T @ S
-    d = gram.shape[0]
-    denominator = np.linalg.norm(gram, "fro") ** 2 - d
-    if denominator <= 1e-12 * d:
-        return WaveformSir(np.inf, True)
-    return WaveformSir(10.0 * np.log10(d / denominator), False)
+    identity = _channel.ChannelRealization(
+        (_channel.PathSpec(1, 0, 0.0),), size=modem.cfg.frame_size)
+    value_db = _lower_sir_db(modem.effective_channel_affine(identity).matrix)
+    return WaveformSir(value_db, bool(value_db == np.inf))
 
 
 def _sir_db(diag2: float, off2: float) -> float:

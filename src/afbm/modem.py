@@ -3,14 +3,12 @@
 A frame of K·L/2 payload symbols is mapped to the edge subcarriers of
 K staggered multicarrier symbols, precoded through a chirped transform
 with a per-subcarrier gain compensation, synthesized on an N-point
-grid, and shaped by a half-period overlapped filter bank.  The matched
-receiver runs the adjoint of that composition.
+grid, and shaped by a half-period overlapped filter bank.
 
 The modem holds the filter bank as its gained taps only.  Row r of
 the single-symbol bank matrix carries taps[r] in column r mod N and
 nothing else, so the receive bank is a tap weighting followed by a
-fold of the window onto the N-point grid (:meth:`AfbmModem._fold`);
-the dense bank matrix is built only for the oracle paths.
+fold of the window onto the N-point grid (:meth:`AfbmModem._fold`).
 
 The build reads its DFT matrices from roots of unity, and the
 synthesis block applies its DFT stages as FFTs
@@ -18,14 +16,17 @@ synthesis block applies its DFT stages as FFTs
 N x L/2 map from one symbol's payload to its N-point grid (synthesis o
 precoder on the active columns).
 
-Two effective-channel views of a propagation channel are provided:
-the affine domain (after the full matched receive chain) and the
-filtered time domain (after the receive filter bank only).  Neither
-forms the mostly-zero dense transmit matrix.  Each effective channel
-carries its block support, the (receive window, symbol) blocks that
-propagation reached; every other block is exactly zero, and the Gram
-(:func:`afbm.equalize._gram`) skips them.
+Filtered-time-domain detection reads the receive bank's output.
+Affine-domain detection is C^H after it: the adjoint of the DAFT,
+despreading and demapping stages, applied per window.  Since the
+per-symbol transmit block is the bank o C, C^H after the bank is the
+matched receiver, the adjoint of :meth:`AfbmModem.modulate`.  The same
+holds for the effective channels: the affine one is
+(I_K kron C^H) H_f, with H_f the filtered one.
 
+Each effective channel carries its block support, the (receive
+window, symbol) blocks that propagation reached; every other block is
+exactly zero, and the Gram (:func:`afbm.equalize._gram`) skips them.
 A path is a cyclic shift times a diagonal twist, so the filtered
 channel is read on the N-point grid: each block is a sum of scalar
 tap weights times rolled copies of C
@@ -36,17 +37,17 @@ from a multiply-add count of its shapes: propagate each symbol's
 transmit block over its own support (its span plus the largest delay,
 wrapping cyclically) and project it onto the receive windows it
 overlaps with the block's adjoint, or map the filtered channel through
-C^H window by window, (I_K kron C^H) H_f, which is exact because C^H
-folds the taps-weighted window as the adjoint does.  The second wins
-for a prototype long against N (PHYDYAS), where a symbol shares many
-rows with each window; a short one (Hermite) projects directly.
-:func:`afbm.metrics.sir_pass` hands its filtered channel to the affine
-one, so the second route then costs only the products.
+C^H window by window.  The second wins for a prototype long against N
+(PHYDYAS), where a symbol shares many rows with each window; a short
+one (Hermite) projects directly.  :func:`afbm.metrics.sir_pass` hands
+its filtered channel to the affine one, so the second route then costs
+only the products.
 
-Effective channels take channel realizations only; the dense matrices
-they are checked against (:meth:`AfbmModem.modulation_matrix`,
-:meth:`AfbmModem.filter_matrix` around
-:func:`afbm.channel.channel_matrix`) are oracles.
+No fast path forms a dense matrix.  Effective channels take channel
+realizations only; the dense matrices they are checked against
+(:meth:`AfbmModem.modulation_matrix`, :meth:`AfbmModem.filter_matrix`
+around :func:`afbm.channel.channel_matrix`) are oracles, built on each
+call.
 """
 
 from __future__ import annotations
@@ -303,8 +304,6 @@ class AfbmModem:
             AFFINE: np.mean(np.sum(np.abs(self._tx_block) ** 2, axis=0)),
             FILTERED: np.mean(self._bank_energy),
         }
-        self._modulation_matrix: np.ndarray | None = None
-        self._filter_matrix: np.ndarray | None = None
 
     def _fold(self, values: np.ndarray, lo: int = 0,
               out: np.ndarray | None = None) -> np.ndarray:
@@ -345,23 +344,10 @@ class AfbmModem:
             s[k * h:k * h + span] += blocks[:, k]
         return s
 
-    def matched_demodulate(self, r: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`modulate`: bank analysis, synthesis adjoint,
-        compensated inverse transform, guard removal."""
-        cfg = self.cfg
-        r = np.asarray(r, dtype=complex)
-        if r.shape != (cfg.frame_size,):
-            raise ValueError(f"frame must have shape ({cfg.frame_size},), "
-                             f"got {r.shape}")
-        h = cfg.N // 2
-        span = self._tx_block.shape[0]
-        windows = np.stack([r[k * h:k * h + span] for k in range(cfg.K)],
-                           axis=1)
-        return (self._tx_block.conj().T @ windows).T.reshape(-1)
-
-    def filtered_receive(self, r: np.ndarray) -> np.ndarray:
-        """Receive bank analysis only: length-NK vector of per-symbol
-        filtered grids, the input of filtered-domain detection."""
+    def _receive_windows(self, r: np.ndarray) -> np.ndarray:
+        """N x K receive bank outputs of a frame: window k, frame rows
+        [k N/2, k N/2 + span), weighted by the taps and folded onto the
+        N-point grid (:meth:`_fold`)."""
         cfg = self.cfg
         r = np.asarray(r, dtype=complex)
         if r.shape != (cfg.frame_size,):
@@ -371,7 +357,18 @@ class AfbmModem:
         span = self._taps.size
         windows = np.stack([r[k * h:k * h + span] for k in range(cfg.K)],
                            axis=1)
-        return self._fold(self._taps[:, None] * windows).T.reshape(-1)
+        return self._fold(self._taps[:, None] * windows)
+
+    def matched_demodulate(self, r: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`modulate`: C^H after the receive bank
+        analysis of :meth:`filtered_receive`."""
+        windows = self._receive_windows(r)
+        return (self._spread.conj().T @ windows).T.reshape(-1)
+
+    def filtered_receive(self, r: np.ndarray) -> np.ndarray:
+        """Receive bank analysis only: length-NK vector of per-symbol
+        filtered grids, the input of filtered-domain detection."""
+        return self._receive_windows(r).T.reshape(-1)
 
     def received_noise_power(self, domain: str, sigma2: float) -> float:
         """Per-branch noise variance after the receive front end.
@@ -405,25 +402,20 @@ class AfbmModem:
     # ---------------------------------------------------------- dense oracles
 
     def modulation_matrix(self) -> np.ndarray:
-        """Dense frame_size x KL/2 transmit matrix (cached)."""
-        if self._modulation_matrix is None:
-            cfg = self.cfg
-            h = cfg.N // 2
-            span, width = self._tx_block.shape
-            S = np.zeros((cfg.frame_size, cfg.payload_size), dtype=complex)
-            for k in range(cfg.K):
-                S[k * h:k * h + span, k * width:(k + 1) * width] += \
-                    self._tx_block
-            self._modulation_matrix = S
-        return self._modulation_matrix
+        """Dense frame_size x KL/2 transmit matrix, built on each call."""
+        cfg = self.cfg
+        h = cfg.N // 2
+        span, width = self._tx_block.shape
+        S = np.zeros((cfg.frame_size, cfg.payload_size), dtype=complex)
+        for k in range(cfg.K):
+            S[k * h:k * h + span, k * width:(k + 1) * width] += \
+                self._tx_block
+        return S
 
     def filter_matrix(self) -> np.ndarray:
-        """Dense frame_size x NK transmit filter bank with the modem gain
-        (cached)."""
-        if self._filter_matrix is None:
-            self._filter_matrix = self._bank_gain * \
-                block_toeplitz(self.prototype, self.cfg.K)
-        return self._filter_matrix
+        """Dense frame_size x NK transmit filter bank with the modem gain,
+        built on each call."""
+        return self._bank_gain * block_toeplitz(self.prototype, self.cfg.K)
 
     # ------------------------------------------------------ effective channels
 
@@ -517,8 +509,8 @@ class AfbmModem:
         each symbol is propagated on its own support and projected
         window by window with the per-symbol block's adjoint, or the
         filtered channel's supported N x L/2 blocks are mapped through
-        C^H, since C^H folds the taps-weighted window exactly as the
-        adjoint does.  ``filtered``, when given, must be this modem's
+        C^H (the affine receiver is C^H after the filtered one).
+        ``filtered``, when given, must be this modem's
         :meth:`effective_channel_filtered` of ``c``; the second route
         reuses it instead of building it again, and either route gives
         the same bits with or without it.  Anything but a channel

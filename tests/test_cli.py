@@ -325,6 +325,18 @@ class TestMainAndOutputs:
         assert capsys.readouterr().err == \
             "error: modulation must be a mapping\n"
 
+    @pytest.mark.parametrize("command", ["validate", "ber"])
+    def test_malformed_yaml_rejected(self, tmp_path, capsys, monkeypatch,
+                                     command):
+        # Status 2 and an error line, not a traceback: for validate,
+        # status 1 would read as "violations found".
+        monkeypatch.chdir(tmp_path)
+        cfg = self.write(tmp_path, "kind: ber\nmodulation: {L: 32\n")
+        assert main([command, "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config is not valid YAML: ")
+        assert os.listdir(tmp_path) == ["spec.yaml"]
+
     @pytest.mark.parametrize("old,new,reason", [
         ("modulation: {L: 32,", "modulation: {L: [1],",
          "modulation.L must be an integer, got [1]"),

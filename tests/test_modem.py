@@ -262,9 +262,11 @@ class TestBlockPath:
         rng = np.random.default_rng(seed)
         M = modem.cfg.frame_size
         r = rng.standard_normal(M) + 1j * rng.standard_normal(M)
-        want = modem.filter_matrix().T @ r
-        got = modem.filtered_receive(r)
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(r).sum()
+        for got, front in ((modem.filtered_receive(r),
+                            modem.filter_matrix().T),
+                           (modem.matched_demodulate(r),
+                            modem.modulation_matrix().conj().T)):
+            assert np.abs(got - front @ r).max() <= 1e-14 * np.abs(r).sum()
 
     @given(which=st.integers(0, 3), sigma2=st.floats(0.0, 10.0))
     @settings(max_examples=20, deadline=None)
