@@ -7,7 +7,7 @@ detectors, and `metrics` the SIR and BER figures of merit.  `cli` wraps
 the whole thing in reproducible YAML-driven experiments.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 import importlib
 

@@ -8,8 +8,10 @@ shortcut.
 
 One Gram serves both fast paths: :func:`_gram` forms the lower
 triangle of Heff^H Heff, over the effective channel's block support
-only, and never mirrors it.  :func:`delta_from_gram`, the SIR hot
-path, reads Delta = I - r (G + r I)^-1 from one Cholesky inverse of
+only, and never mirrors it; :func:`_window_gram` adds one receive
+window's share, for it and for the SIR pass, which sums the filtered
+channel's windows as they are produced.  :func:`delta_from_gram`, the
+SIR hot path, reads Delta = I - r (G + r I)^-1 from one Cholesky inverse of
 that triangle and returns Delta's lower triangle, unmirrored too: Delta
 is Hermitian, so the triangle is all of it, and the SIR pass reads
 both the SIR and |Delta|^2 from it.  At zero noise r is always a
@@ -53,33 +55,70 @@ class Equalizer:
     noise_var: float
 
 
-def _gram(h: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+def _add_herk(out: np.ndarray, a: np.ndarray) -> None:
+    """Add a^H a to the lower triangle of the C-ordered n x n ``out``,
+    in place.
+
+    ``zherk`` reads a C-ordered ``a`` as its Fortran transpose without
+    a copy and, with beta = 1, accumulates a^T conj(a), the transpose of
+    a^H a, into the upper triangle of ``out.T``, which is ``out``'s
+    lower one: no n x n temporary is made.
+    """
+    scipy.linalg.blas.zherk(1.0, a.T, beta=1.0, c=out.T, trans=0, lower=0,
+                            overwrite_c=1)
+
+
+def _window_gram(out: np.ndarray, window: np.ndarray,
+                 runs: list[tuple[int, int]], w: int) -> None:
+    """Add one receive window's share of h^H h to ``out``'s lower
+    triangle.
+
+    ``window`` is the window's rows of h, ``runs`` the [a, b) runs of
+    consecutive symbols its support row holds, and w the columns per
+    symbol.  A single run over every symbol accumulates in place
+    (:func:`_add_herk`).  Otherwise each run adds one ``zherk`` triangle
+    and one product per run before it.
+    """
+    if runs == [(0, out.shape[0] // w)]:
+        _add_herk(out, window)
+        return
+    for i, (a, b) in enumerate(runs):
+        run = window[:, a * w:b * w]
+        out[a * w:b * w, a * w:b * w] += scipy.linalg.blas.zherk(
+            1.0, run.T, trans=0, lower=0).T
+        for c, d in runs[:i]:
+            out[a * w:b * w, c * w:d * w] += \
+                run.conj().T @ window[:, c * w:d * w]
+
+
+def _gram(h: np.ndarray, support: np.ndarray | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
     """h^H h on and below the diagonal, exact zeros above: the layout
     whose ``.T`` view ``zpotrf`` reads as the upper triangle of
     conj(h^H h), in :func:`delta_from_gram` and :func:`mmse_detect`.
 
-    ``zherk`` reads a C-ordered h as its Fortran transpose without a
-    copy and fills the upper triangle of h^T conj(h), the transpose of
-    h^H h.  With a block ``support`` (see
-    :class:`afbm.modem.EffectiveChannel`) that leaves some blocks out,
-    each receive window adds one ``zherk`` triangle per run of
-    consecutive supported symbols and one product per pair of runs
-    below them; a full or absent support is one ``zherk`` over all of h.
+    With no ``support``, or a full one on a square h (an affine
+    channel), it is one ``zherk`` over all of h.  Otherwise each
+    receive window of the block ``support`` (see
+    :class:`afbm.modem.EffectiveChannel`) adds its share through
+    :func:`_window_gram`, blocks outside the support costing nothing.
+    A filtered channel is always summed window by window, because the
+    SIR pass sums it so without forming it, and both then give the same
+    bits.  ``out``, when given, is a C-ordered complex n x n buffer that
+    is zeroed and filled; otherwise a new array is returned.
     """
-    if support is None or support.all():
-        return scipy.linalg.blas.zherk(1.0, h.T, trans=0, lower=0).T
+    n = h.shape[1]
+    if out is None:
+        out = np.zeros((n, n), dtype=complex)
+    else:
+        out.fill(0)
+    if support is None or (support.all() and h.shape[0] == n):
+        _add_herk(out, h)
+        return out
     K = support.shape[0]
-    rows, w = h.shape[0] // K, h.shape[1] // K
-    out = np.zeros((h.shape[1],) * 2, dtype=complex)
+    rows = h.shape[0] // K
     for j, runs in enumerate(_support_runs(support)):
-        window = h[j * rows:(j + 1) * rows]
-        for i, (a, b) in enumerate(runs):
-            run = window[:, a * w:b * w]
-            out[a * w:b * w, a * w:b * w] += scipy.linalg.blas.zherk(
-                1.0, run.T, trans=0, lower=0).T
-            for c, d in runs[:i]:
-                out[a * w:b * w, c * w:d * w] += \
-                    run.conj().T @ window[:, c * w:d * w]
+        _window_gram(out, h[j * rows:(j + 1) * rows], runs, n // K)
     return out
 
 

@@ -36,9 +36,9 @@ import numpy as np
 import scipy.linalg.lapack
 
 from . import channel as _channel
-from .equalize import _gram, delta_from_gram, mmse_detect
-from .modem import AFFINE, FILTERED, AfbmModem, ModulationConfig, \
-    qam_alphabet, qam_demap, qam_map
+from .equalize import _gram, _window_gram, delta_from_gram, mmse_detect
+from .modem import AFFINE, FILTERED, AfbmModem, EffectiveChannel, \
+    ModulationConfig, _support_runs, qam_alphabet, qam_demap, qam_map
 
 __all__ = [
     "BerPoint",
@@ -143,27 +143,8 @@ def _lower_sir_db(delta: np.ndarray) -> float:
                    2.0 * lower ** 2)
 
 
-def _domain_gram(heff) -> np.ndarray:
-    return _gram(heff.matrix, heff.support)
-
-
-def _domain_grams(modem: AfbmModem, realization, domains) -> dict:
-    """The Gram of each domain's effective channel of one realization.
-
-    The filtered channel comes first and is handed to the affine one,
-    which reuses it when the modem routes its affine channel through
-    it.  It is dropped before the affine Gram is formed, so at most
-    the filtered channel, its Gram and the affine channel coexist.
-    """
-    grams, filtered = {}, None
-    if FILTERED in domains:
-        filtered = modem.effective_channel_filtered(realization)
-        grams[FILTERED] = _domain_gram(filtered)
-    if AFFINE in domains:
-        affine = modem.effective_channel_affine(realization, filtered)
-        del filtered
-        grams[AFFINE] = _domain_gram(affine)
-    return grams
+def _domain_gram(heff, out: np.ndarray | None = None) -> np.ndarray:
+    return _gram(heff.matrix, heff.support, out)
 
 
 def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
@@ -186,14 +167,58 @@ def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
                 index: int, noise: tuple[tuple[str, float], ...],
                 heatmaps: bool) -> list[tuple]:
     """One realization: per (domain, sigma2) of ``noise``, the
-    conditioned SIR in dB and, when ``heatmaps`` is set, |Delta|^2.  The
-    channel is drawn once for all domains, and both Grams are formed
-    before either Delta, so the large filtered channel is gone by then;
-    each Gram is released once its Delta is reduced."""
+    conditioned SIR in dB and, when ``heatmaps`` is set, |Delta|^2.
+
+    The channel is drawn once for all domains, and each domain is
+    reduced as soon as its Gram is complete.  The filtered channel H_f
+    is never formed: one sweep over its receive windows
+    (:meth:`AfbmModem._filtered_windows`) adds each window to the
+    filtered Gram and, when the modem routes its affine channel through
+    the filtered one, maps it to the affine rows
+    (:meth:`AfbmModem._affine_rows`).  The filtered Delta and its
+    sample come next.  A modem that projects its affine channel
+    directly (:meth:`AfbmModem._project_affine`) does so after that,
+    into the same block, and the affine Gram is formed in the filtered
+    Gram's buffer (:func:`_domain_gram`) and reduced in turn.  At preset
+    scale a sample holds one 2 MiB window instead of the 16 MiB H_f.
+    """
     _, realization = _trial_draw(modem, chan, seed, index)
-    grams = _domain_grams(modem, realization, [d for d, _ in noise])
-    return [_domain_sample(grams.pop(domain), sigma2, heatmaps)
-            for domain, sigma2 in noise]
+    sigma2 = dict(noise)
+    cfg = modem.cfg
+    n = cfg.payload_size
+    # The Gram, the affine channel and the window buffer are views of
+    # one block (10 MiB at preset scale).  As separate arrays of 4, 4
+    # and 2 MiB they keep glibc's dynamic mmap and trim thresholds low,
+    # which H_f's 16 MiB used to raise: freed memory then goes back to
+    # the system and is faulted in again, about 10,500 minor page
+    # faults per sir-channel repetition against none with the block.
+    block = np.empty(n * (2 * n + cfg.N), dtype=complex)
+    gram = block[:n * n].reshape(n, n)
+    affine = block[n * n:2 * n * n].reshape(n, n)
+    buffer = block[2 * n * n:].reshape(cfg.N, n)
+    affine.fill(0)
+    through = AFFINE in sigma2 and modem._affine_from_filtered
+    samples = {}
+    if FILTERED in sigma2 or through:
+        support, sweep = modem._filtered_windows(realization,
+                                                 [buffer] * cfg.K)
+        runs = _support_runs(support)
+        gram.fill(0)
+        for j, window in sweep:
+            if FILTERED in sigma2:
+                _window_gram(gram, window, runs[j], cfg.L // 2)
+            if through:
+                modem._affine_rows(affine, j, window, runs[j])
+        if FILTERED in sigma2:
+            samples[FILTERED] = _domain_sample(gram, sigma2[FILTERED],
+                                               heatmaps)
+    if AFFINE in sigma2:
+        if not through:
+            support = modem._project_affine(realization, affine)
+        samples[AFFINE] = _domain_sample(
+            _domain_gram(EffectiveChannel(affine, AFFINE, support), gram),
+            sigma2[AFFINE], heatmaps)
+    return [samples[domain] for domain, _ in noise]
 
 
 # Worker-process state for the Monte-Carlo pools.  The modem is rebuilt

@@ -29,19 +29,22 @@ window, symbol) blocks that propagation reached; every other block is
 exactly zero, and the Gram (:func:`afbm.equalize._gram`) skips them.
 A path is a cyclic shift times a diagonal twist, so the filtered
 channel is read on the N-point grid: each block is a sum of scalar
-tap weights times rolled copies of C
-(:meth:`AfbmModem.effective_channel_filtered`).
+tap weights times rolled copies of C.  One kernel
+(:meth:`AfbmModem._filtered_windows`) produces it one receive window at
+a time, and every consumer reads the windows as they come:
+:meth:`AfbmModem.effective_channel_filtered` writes them into H_f, and
+the SIR pass (:func:`afbm.metrics._sir_sample`) sums them into the
+filtered Gram without forming H_f.
 
 The affine channel has two routes, and each modem picks one at build
 from a multiply-add count of its shapes: propagate each symbol's
 transmit block over its own support (its span plus the largest delay,
 wrapping cyclically) and project it onto the receive windows it
-overlaps with the block's adjoint, or map the filtered channel through
-C^H window by window.  The second wins for a prototype long against N
+overlaps with the block's adjoint, or map each filtered window through
+C^H as it is produced.  The second wins for a prototype long against N
 (PHYDYAS), where a symbol shares many rows with each window; a short
-one (Hermite) projects directly.  :func:`afbm.metrics.sir_pass` hands
-its filtered channel to the affine one, so the second route then costs
-only the products.
+one (Hermite) projects directly.  Neither holds H_f, and the SIR pass
+fills the second route's rows in the same sweep as the filtered Gram.
 
 No fast path forms a dense matrix.  Effective channels take channel
 realizations only; the dense matrices they are checked against
@@ -296,6 +299,8 @@ class AfbmModem:
         # precoder, restricted to the active columns.  The per-symbol
         # transmit block is the bank o C; its columns are unit norm.
         self._spread = (composed * comp[None, :])[:, act]
+        # C^H, the affine receiver after the filtered one.
+        self._despread = self._spread.conj().T
         self._tx_block = self._taps[:, None] * \
             self._spread[np.arange(self._taps.size) % cfg.N]
         self._affine_from_filtered = self._route_through_filtered()
@@ -363,7 +368,7 @@ class AfbmModem:
         """Adjoint of :meth:`modulate`: C^H after the receive bank
         analysis of :meth:`filtered_receive`."""
         windows = self._receive_windows(r)
-        return (self._spread.conj().T @ windows).T.reshape(-1)
+        return (self._despread @ windows).T.reshape(-1)
 
     def filtered_receive(self, r: np.ndarray) -> np.ndarray:
         """Receive bank analysis only: length-NK vector of per-symbol
@@ -498,8 +503,7 @@ class AfbmModem:
             0)
         return bool(cfg.N * np.count_nonzero(shared) < shared.sum())
 
-    def effective_channel_affine(self, c, filtered: EffectiveChannel | None
-                                 = None) -> EffectiveChannel:
+    def effective_channel_affine(self, c) -> EffectiveChannel:
         """Payload-to-payload matrix seen by affine-domain detection.
 
         The matched receive chain composed with the transmit chain
@@ -507,34 +511,47 @@ class AfbmModem:
         payload coordinates on both sides.  The modem computes it one
         way, fixed at build by :meth:`_route_through_filtered`: either
         each symbol is propagated on its own support and projected
-        window by window with the per-symbol block's adjoint, or the
-        filtered channel's supported N x L/2 blocks are mapped through
-        C^H (the affine receiver is C^H after the filtered one).
-        ``filtered``, when given, must be this modem's
-        :meth:`effective_channel_filtered` of ``c``; the second route
-        reuses it instead of building it again, and either route gives
-        the same bits with or without it.  Anything but a channel
+        window by window with the per-symbol block's adjoint, or each
+        filtered window is mapped through C^H as the kernel produces it
+        (:meth:`_affine_rows`; the affine receiver is C^H after the
+        filtered one), so H_f is never held.  Anything but a channel
         realization as ``c`` raises TypeError.
         """
         cfg = self.cfg
-        w = self._tx_block.shape[1]
         out = np.zeros((cfg.payload_size,) * 2, dtype=complex)
-        if self._affine_from_filtered:
-            if filtered is None:
-                filtered = self.effective_channel_filtered(c)
-            adjoint, hf = self._spread.conj().T, filtered.matrix
-            for j, runs in enumerate(_support_runs(filtered.support)):
-                for a, b in runs:
-                    out[j * w:(j + 1) * w, a * w:b * w] = \
-                        adjoint @ hf[j * cfg.N:(j + 1) * cfg.N, a * w:b * w]
-            return EffectiveChannel(out, AFFINE, filtered.support)
+        if not self._affine_from_filtered:
+            return EffectiveChannel(out, AFFINE, self._project_affine(c, out))
+        buffer = np.empty((cfg.N, cfg.payload_size), dtype=complex)
+        support, sweep = self._filtered_windows(c, [buffer] * cfg.K)
+        runs = _support_runs(support)
+        for j, window in sweep:
+            self._affine_rows(out, j, window, runs[j])
+        return EffectiveChannel(out, AFFINE, support)
+
+    def _project_affine(self, c, out: np.ndarray) -> np.ndarray:
+        """The direct route of :meth:`effective_channel_affine`: add each
+        symbol's propagated pieces, projected with the per-symbol
+        block's adjoint, into the zeroed KL/2 x KL/2 ``out``.  Returns
+        the block support, the blocks a piece reached."""
+        cfg = self.cfg
+        w = self._tx_block.shape[1]
         adjoint = self._tx_block.conj().T
         support = np.zeros((cfg.K, cfg.K), dtype=bool)
         for k, j, lo, hi, piece in self._propagated_pieces(c):
             out[j * w:(j + 1) * w, k * w:(k + 1) * w] += \
                 adjoint[:, lo:hi] @ piece
             support[j, k] = True
-        return EffectiveChannel(out, AFFINE, support)
+        return support
+
+    def _affine_rows(self, out: np.ndarray, j: int, window: np.ndarray,
+                     runs: list[tuple[int, int]]) -> None:
+        """Write the affine channel's rows of receive window j into
+        ``out``: C^H times filtered window j on each [a, b) run of the
+        symbols it supports.  Blocks off the runs are left as they are."""
+        w = self._despread.shape[0]
+        for a, b in runs:
+            out[j * w:(j + 1) * w, a * w:b * w] = \
+                self._despread @ window[:, a * w:b * w]
 
     def _weight_table(self, twists) -> np.ndarray:
         """Tap weights of the filtered channel per j - k, path and class.
@@ -573,56 +590,78 @@ class AfbmModem:
                     .reshape(2 * K - 1, -1, N).sum(axis=1).T
         return table
 
-    def effective_channel_filtered(self, c) -> EffectiveChannel:
-        """Payload-to-filtered-grid matrix seen by filtered-domain detection.
-
-        Rows live on the NK-point receive bank output; columns are the
-        payload coordinates.  With an identity channel this matrix is
-        a near isometry.
+    def _filtered_windows(self, c, windows):
+        """The filtered channel H_f of realization ``c``, one receive
+        window (N x KL/2) at a time.
 
         A path is a cyclic shift times a diagonal twist, so on the
         N-point grid block (j, k) is a sum over paths p and classes c
         of diag(w_jkpc) R_pc, where R_pc holds C's rows at
         (rho - d + c h) mod N and w_jkpc is the tone phase of path p at
-        window j times the :meth:`_weight_table` entry of j - k.  Each
-        window's weights are applied to the stacked R_pc by batched
-        products over its N rows, zero-weight blocks included, so no
-        propagated row is formed and every entry is written once.  The
-        support is the propagated strips' reach (:meth:`_reach`).
-        Anything but a channel realization as ``c`` raises TypeError.
+        window j times the :meth:`_weight_table` entry of j - k.  The
+        stacked R_pc are built once per call; each window's weights are
+        applied to them by one batched product over its N rows,
+        zero-weight blocks included, so no propagated row is formed and
+        every entry is written once.
+
+        ``windows`` holds K C-ordered N x KL/2 destinations, window j
+        written into ``windows[j]``: H_f's own rows, or one buffer given
+        K times, which then holds one window at a time.  Returns the
+        block support, the propagated strips' reach (:meth:`_reach`),
+        and an iterator that writes the windows in order and yields
+        (j, windows[j]) after each.  Anything but a channel realization
+        as ``c`` raises TypeError here, before any window is written.
         """
         twists = self._twists(c)
         cfg = self.cfg
         N, K, M, h = cfg.N, cfg.K, cfg.frame_size, cfg.N // 2
         span, w = self._tx_block.shape
-        # Allocated before the temporaries: after them, the heap kept
-        # about 1 MB more resident over a sir-channel run (glibc).
-        out = np.empty((K, N, K, w), dtype=complex)
         table = self._weight_table(twists)
         delays = np.array([d for d, _ in twists])
         rolled = (np.arange(N)[:, None, None] - delays[None, :, None]
                   + np.array([0, h])) % N
         dopplers = np.array([path.doppler for path in c.paths])
         phase = np.exp(-2j * np.pi * h * np.arange(K)[:, None] * dopplers / M)
-        # 64 grid rows at a time: the rolled copies of all N rows would
-        # hold 2 x paths copies of C (1.5 MB at 3 paths, N = 256).
-        for lo in range(0, N, 64):
-            rows = slice(lo, lo + 64)
-            stacked = self._spread[rolled[rows]].reshape(
-                -1, 2 * len(twists), w)
-            for j in range(K):
-                # Window j reads table rows K - 1 - j ... 2K - 2 - j, the
-                # j - k of symbols 0 ... K - 1.
-                weights = table[rows, K - 1 - j:2 * K - 1 - j] * \
-                    phase[j, None, None, :, None]
-                np.matmul(weights.reshape(stacked.shape[0], K, -1), stacked,
-                          out=out[j, rows])
         support = np.zeros((K, K), dtype=bool)
         length = min(span + delays.max(), M)
         for k in range(K):
             for j, *_ in self._reach(k, length):
                 support[j, k] = True
-        return EffectiveChannel(out.reshape(N * K, K * w), FILTERED, support)
+
+        def sweep():
+            # 2 x paths rolled copies of C (1.5 MB at 3 paths, N = 256).
+            stacked = self._spread[rolled].reshape(N, 2 * len(twists), w)
+            for j in range(K):
+                # Window j reads table rows K - 1 - j ... 2K - 2 - j, the
+                # j - k of symbols 0 ... K - 1.
+                weights = table[:, K - 1 - j:2 * K - 1 - j] * \
+                    phase[j, None, None, :, None]
+                np.matmul(weights.reshape(N, K, -1), stacked,
+                          out=windows[j].reshape(N, K, w))
+                yield j, windows[j]
+
+        return support, sweep()
+
+    def effective_channel_filtered(self, c) -> EffectiveChannel:
+        """Payload-to-filtered-grid matrix seen by filtered-domain detection.
+
+        Rows live on the NK-point receive bank output; columns are the
+        payload coordinates.  With an identity channel this matrix is
+        a near isometry.  The windows of :meth:`_filtered_windows` are
+        written straight into it.  Anything but a channel realization as
+        ``c`` raises TypeError.
+        """
+        cfg = self.cfg
+        # Allocated before the kernel's temporaries: allocated after
+        # them, H_f kept about 1 MB more of glibc's heap resident over a
+        # sir-channel run.  BER frames and tests form H_f; a SIR sample
+        # never does (its buffers: afbm.metrics._sir_sample).
+        out = np.empty((cfg.K, cfg.N, cfg.payload_size), dtype=complex)
+        support, sweep = self._filtered_windows(c, out)
+        for _ in sweep:
+            pass
+        return EffectiveChannel(out.reshape(cfg.N * cfg.K, -1), FILTERED,
+                                support)
 
     def effective_channel(self, c, domain: str) -> EffectiveChannel:
         """The effective channel of realization ``c`` in domain ``domain``."""

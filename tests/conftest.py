@@ -57,3 +57,19 @@ def oracle_modems(toy_modem, mid_hermite, mid_phydyas):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def grid_modem():
+    """(scale, family, K) -> the modem at that point of the kernel grid:
+    toy (L=8, N=16, P=12) or mid (L=64, N=128, P=96) scale, built once."""
+    cache = {}
+
+    def modem(scale, family, K):
+        if (scale, family, K) not in cache:
+            L, N, P = {"toy": (8, 16, 12), "mid": (64, 128, 96)}[scale]
+            cache[scale, family, K] = AfbmModem(
+                design_config(L, K, N, P, family))
+        return cache[scale, family, K]
+
+    return modem

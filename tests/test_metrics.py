@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,61 @@ class TestSirPass:
         assert_fails_in_a_worker(lambda: sir_pass(
             toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, [0, 1, 2], 5,
             workers=2))
+
+
+class TestSirSample:
+    """One SIR sample sweeps the filtered channel window by window and
+    never forms it, yet gives the bits of the materialized channels."""
+
+    @given(data=st.data(), scale=st.sampled_from(("toy", "mid")),
+           family=st.sampled_from(("phydyas", "hermite")),
+           K=st.sampled_from((1, 2, 3, 8)),
+           domains=st.sampled_from(((AFFINE, FILTERED), (FILTERED, AFFINE),
+                                    (AFFINE,), (FILTERED,))),
+           heatmaps=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_materialized_channels(self, grid_modem, data,
+                                                scale, family, K, domains,
+                                                heatmaps):
+        # Delays of at least 1 wrap the last symbol's strip past the
+        # frame end, and at K = 1 make the strip longer than the frame.
+        modem = grid_modem(scale, family, K)
+        chan = ChannelConfig(n_paths=3, delay_max=data.draw(
+            st.sampled_from((2, modem.cfg.N // 2, 2 * modem.cfg.N))),
+                             doppler_max=2.0)
+        seed = data.draw(st.integers(0, 2 ** 16))
+        noise = tuple((domain, data.draw(st.sampled_from(
+            (0.0, 10.0 ** -3.4, 0.3)))) for domain in domains)
+        got = metrics._sir_sample(modem, chan, seed, 0, noise, heatmaps)
+        _, realization = metrics._trial_draw(modem, chan, seed, 0)
+        assert len(got) == len(noise)
+        for (domain, sigma2), (sir, power) in zip(noise, got):
+            heff = modem.effective_channel(realization, domain)
+            delta = delta_from_gram(_gram(heff.matrix, heff.support),
+                                    sigma2)
+            assert sir == metrics._lower_sir_db(delta)
+            if heatmaps:
+                assert np.array_equal(power.view(np.int64),
+                                      (np.abs(delta) ** 2).view(np.int64))
+            else:
+                assert power is None
+
+    @pytest.mark.parametrize("family", ["hermite", "phydyas"])
+    def test_peak_allocation_below_the_filtered_channel(self, family):
+        # Preset shape: H_f is 2048 x 512 complex, 16 MiB; a sample
+        # holds one 256 x 512 window of it at a time.
+        modem = AfbmModem(design_config(128, 8, 256, 192, family))
+        chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
+        noise = ((AFFINE, 1e-3), (FILTERED, 1e-3))
+        filtered_bytes = 2048 * 512 * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            metrics._sir_sample(modem, chan, 20250819, 0, noise, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert filtered_bytes == 16 * 2 ** 20
+        assert peak < filtered_bytes
 
 
 class TestBerCurve:
