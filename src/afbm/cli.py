@@ -16,6 +16,10 @@ domains, and the Monte-Carlo budget.  Three experiment kinds exist:
 ``ber``
     Bit-error curves over an SNR grid per scenario and domain.
 
+Each config key is declared once, as an :class:`ExperimentSpec` field
+with its YAML section and type; only ``sigma2``, a number or a
+per-domain mapping, is read by hand.
+
 Outputs land in the chosen directory as ``<kind>-<hash>.csv`` plus a
 human-readable ``summary.txt``; the hash is a digest of the canonical
 spec serialization, so identical experiments land on identical names.
@@ -38,7 +42,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -47,8 +52,9 @@ from . import __version__
 from .channel import ChannelConfig
 from .metrics import ber_curve, sir_pass, sir_waveform
 from .modem import (_DEFAULT_OVERLAP, AFFINE, FILTERED, AfbmModem,
-                    _default_prototype, design_config, qam_alphabet)
-from .transforms import check_daft_orthogonality_condition
+                    ModulationConfig, _default_prototype, design_config,
+                    qam_alphabet)
+from .transforms import separability_span
 
 __all__ = [
     "ExperimentReport",
@@ -66,20 +72,27 @@ KINDS = ("sir-waveform", "sir-channel", "ber")
 _SNR_DEFAULT = tuple(float(s) for s in range(0, 22, 2))
 
 
+def _in(section: str, default, key: str | None = None):
+    """A spec field at ``key``, by default its name, in YAML ``section``."""
+    return field(default=default, metadata={"section": section, "key": key})
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Declarative description of one experiment."""
+    """Declarative description of one experiment; each field is one
+    config key, at the top level unless declared :func:`_in` a section."""
 
     kind: str
-    L: int = 128
-    K: int = 8
-    N: int = 256
-    P: tuple[int, ...] = (192, 256)
-    filters: tuple[str, ...] = ("hermite", "phydyas")
-    xi: int = 0
-    paths: int = 3
-    delay_max: int = 16
-    doppler_max: float = 2.0
+    L: int = _in("modulation", 128)
+    K: int = _in("modulation", 8)
+    N: int = _in("modulation", 256)
+    P: tuple[int, ...] = _in("modulation", (192, 256))
+    filters: tuple[str, ...] = _in("modulation", ("hermite", "phydyas"),
+                                   key="filter")
+    xi: int = _in("modulation", 0)
+    paths: int = _in("channel", 3)
+    delay_max: int = _in("channel", 16)
+    doppler_max: float = _in("channel", 2.0)
     domains: tuple[str, ...] = (AFFINE, FILTERED)
     realizations: int = 200
     sigma2: tuple[tuple[str, float], ...] = ((AFFINE, 0.0), (FILTERED, 0.0))
@@ -101,6 +114,18 @@ class ExperimentSpec:
 
     def channel_config(self) -> ChannelConfig:
         return ChannelConfig(self.paths, self.delay_max, self.doppler_max)
+
+    def modulation_config(self, family: str, P: int) -> ModulationConfig:
+        return design_config(self.L, self.K, self.N, P, family,
+                             f_max=self.doppler_max, xi=self.xi)
+
+
+# (field, YAML section, YAML key) of every config key, the top level
+# being section "", and each field's type, which its values are read as.
+_KEYS = tuple((f.name, f.metadata.get("section", ""),
+               f.metadata.get("key") or f.name)
+              for f in fields(ExperimentSpec))
+_TYPES = get_type_hints(ExperimentSpec)
 
 
 @dataclass(frozen=True)
@@ -143,83 +168,52 @@ def _cast(key: str, value, cast):
 
 
 def _spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "seed": spec.seed,
-        "output": spec.output,
-        "modulation": {
-            "L": spec.L, "K": spec.K, "N": spec.N,
-            "P": list(spec.P), "filter": list(spec.filters), "xi": spec.xi,
-        },
-        "channel": {
-            "paths": spec.paths, "delay_max": spec.delay_max,
-            "doppler_max": spec.doppler_max,
-        },
-        "domains": list(spec.domains),
-        "realizations": spec.realizations,
-        "sigma2": {d: v for d, v in spec.sigma2},
-        "averaging": spec.averaging,
-        "snr_db": list(spec.snr_db),
-        "trials": spec.trials,
-        "min_bit_errors": spec.min_bit_errors,
-        "qam_order": spec.qam_order,
-        "emit_heatmap": spec.emit_heatmap,
-    }
+    doc = {}
+    for name, section, key in _KEYS:
+        value = getattr(spec, name)
+        if name == "sigma2":
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+    return doc
 
 
 def _spec_from_dict(doc: dict) -> ExperimentSpec:
-    known = _spec_to_dict(ExperimentSpec(kind=""))
+    defaults = ExperimentSpec(kind="")
+    known = _spec_to_dict(defaults)
     unknown = sorted(set(doc) - set(known))
-    mod, chan = doc.get("modulation", {}), doc.get("channel", {})
-    for name, section in (("modulation", mod), ("channel", chan)):
-        if not isinstance(section, dict):
+    sections = {"": doc}
+    for name in dict.fromkeys(section for _, section, _ in _KEYS if section):
+        sections[name] = doc.get(name, {})
+        if not isinstance(sections[name], dict):
             raise ValueError(f"{name} must be a mapping")
         unknown += sorted(f"{name}.{key}"
-                          for key in set(section) - set(known[name]))
+                          for key in set(sections[name]) - set(known[name]))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    sections = {"modulation": mod, "channel": chan}
 
-    def read(key: str, cast, many: bool = False):
-        # key is "name" or "section.name"; a missing key reads its default.
-        section, _, name = key.rpartition(".")
-        value = sections.get(section, doc).get(
-            name, (known[section] if section else known)[name])
-        if not many:
-            return _cast(key, value, cast)
-        values = value if isinstance(value, (list, tuple)) else (value,)
-        return tuple(_cast(key, v, cast) for v in values)
-
+    values = {}
+    for name, section, key in _KEYS:
+        if name == "sigma2":
+            continue
+        label, hint = f"{section}.{key}" if section else key, _TYPES[name]
+        value = sections[section].get(key, getattr(defaults, name))
+        if get_origin(hint) is tuple:
+            items = value if isinstance(value, (list, tuple)) else (value,)
+            values[name] = tuple(_cast(label, v, get_args(hint)[0])
+                                 for v in items)
+        else:
+            values[name] = _cast(label, value, hint)
     sigma2 = doc.get("sigma2", 0.0)
     if isinstance(sigma2, dict):
-        pairs = tuple(sorted((str(k), _cast(f"sigma2.{k}", v, float))
-                             for k, v in sigma2.items()))
+        values["sigma2"] = tuple(sorted(
+            (str(k), _cast(f"sigma2.{k}", v, float))
+            for k, v in sigma2.items()))
     else:
         value = _cast("sigma2", sigma2, float)
-        pairs = ((AFFINE, value), (FILTERED, value))
-    return ExperimentSpec(
-        kind=read("kind", str),
-        L=read("modulation.L", int),
-        K=read("modulation.K", int),
-        N=read("modulation.N", int),
-        P=read("modulation.P", int, many=True),
-        filters=read("modulation.filter", str, many=True),
-        xi=read("modulation.xi", int),
-        paths=read("channel.paths", int),
-        delay_max=read("channel.delay_max", int),
-        doppler_max=read("channel.doppler_max", float),
-        domains=read("domains", str, many=True),
-        realizations=read("realizations", int),
-        sigma2=pairs,
-        averaging=read("averaging", str),
-        snr_db=read("snr_db", float, many=True),
-        trials=read("trials", int),
-        min_bit_errors=read("min_bit_errors", int),
-        qam_order=read("qam_order", int),
-        seed=read("seed", int),
-        output=read("output", str),
-        emit_heatmap=read("emit_heatmap", bool),
-    )
+        values["sigma2"] = ((AFFINE, value), (FILTERED, value))
+    return ExperimentSpec(**values)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
@@ -354,8 +348,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
                     if family not in _DEFAULT_OVERLAP]
     out += unbuildable
     for family, P in [] if unbuildable else spec.scenarios():
-        cfg = design_config(spec.L, spec.K, spec.N, P, family,
-                            f_max=spec.doppler_max, xi=spec.xi)
+        cfg = spec.modulation_config(family, P)
         problems = cfg.violations()
         if not problems:
             # The prototype's own grid limits (PHYDYAS needs N >= 8);
@@ -372,22 +365,16 @@ def validate(spec: ExperimentSpec) -> list[str]:
                     f"{family}/P={P}: delay_max {spec.delay_max} must be "
                     f"below the frame size {cfg.frame_size}; longer delays "
                     f"alias under the cyclic shift")
-            lhs = (2.0 * (spec.doppler_max + spec.xi)
-                   * (spec.delay_max + 1) + spec.delay_max)
-            if not check_daft_orthogonality_condition(
-                    spec.doppler_max, spec.delay_max, spec.xi, P):
+            span = separability_span(spec.doppler_max, spec.delay_max,
+                                     spec.xi)
+            if not span <= P:
                 out.append(
                     f"orthogonality condition violated for {family}/P={P}: "
-                    f"2(f_max+xi)(l_max+1)+l_max = {lhs:g} > {P}")
+                    f"2(f_max+xi)(l_max+1)+l_max = {span:g} > {P}")
     return out
 
 
 # ------------------------------------------------------------------- running
-
-
-def _modem_for(spec: ExperimentSpec, family: str, P: int) -> AfbmModem:
-    return AfbmModem(design_config(spec.L, spec.K, spec.N, P, family,
-                                   f_max=spec.doppler_max, xi=spec.xi))
 
 
 def _num(value) -> str:
@@ -401,7 +388,7 @@ def _run_sir_waveform(spec: ExperimentSpec, workers: int):
     header = ("filter", "P", "L", "K", "N", "sir_db", "orthogonal")
     rows = []
     for family, P in spec.scenarios():
-        result = sir_waveform(_modem_for(spec, family, P))
+        result = sir_waveform(AfbmModem(spec.modulation_config(family, P)))
         rows.append((family, P, spec.L, spec.K, spec.N,
                      result.value_db, int(result.orthogonal)))
     return {"header": header, "rows": tuple(rows)}
@@ -414,7 +401,7 @@ def _run_sir_channel(spec: ExperimentSpec, workers: int):
     chan = spec.channel_config()
     for family, P in spec.scenarios():
         result = sir_pass(
-            _modem_for(spec, family, P), chan,
+            AfbmModem(spec.modulation_config(family, P)), chan,
             {d: spec.sigma2_for(d) for d in spec.domains},
             range(spec.realizations), spec.seed, averaging=spec.averaging,
             heatmaps=spec.emit_heatmap, workers=workers)
@@ -442,7 +429,7 @@ def _run_ber(spec: ExperimentSpec, workers: int):
     rows = []
     chan = spec.channel_config()
     for family, P in spec.scenarios():
-        modem = _modem_for(spec, family, P)
+        modem = AfbmModem(spec.modulation_config(family, P))
         for domain in spec.domains:
             points = ber_curve(
                 modem, chan, domain, spec.snr_db, spec.trials, spec.seed,

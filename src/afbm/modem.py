@@ -55,6 +55,7 @@ call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +104,12 @@ class ModulationConfig:
         Filter overlap factor; 2*overlap must be an integer.
     filter_family : str
         "hermite", "phydyas" or "custom".
-    c1_L, c2_L : float
-        Chirp rates of the L-point stage.
-    c1_P, c2_P : float
-        Chirp rates of the P-point stage.  The two pre-chirp rates
-        must match for the stages to cancel through the grid
-        embedding; :func:`design_config` enforces that.
+    f_max : float
+        Worst-case Doppler, finite and non-negative.
     xi : int
-        Guard width entering the default pre-chirp rate.
+        Guard width.  With f_max it sets :attr:`c1`, the pre-chirp rate
+        both DAFT stages share so that they cancel through the grid
+        embedding; an n-point stage post-chirps at ``default_c2(n)``.
     """
 
     L: int
@@ -119,10 +118,7 @@ class ModulationConfig:
     P: int
     overlap: float
     filter_family: str = "hermite"
-    c1_L: float = 0.0
-    c2_L: float = 0.0
-    c1_P: float = 0.0
-    c2_P: float = 0.0
+    f_max: float = 2.0
     xi: int = 0
 
     def violations(self) -> list[str]:
@@ -141,7 +137,14 @@ class ModulationConfig:
             out.append(f"need K >= 1, got K={self.K}")
         if self.xi < 0:
             out.append(f"guard width must be >= 0, got {self.xi}")
+        if not (math.isfinite(self.f_max) and self.f_max >= 0):
+            out.append(f"f_max must be finite and >= 0, got {self.f_max}")
         return out
+
+    @property
+    def c1(self) -> float:
+        """Pre-chirp rate of both DAFT stages, from f_max and xi."""
+        return default_c1(self.f_max, self.xi, self.P)
 
     @property
     def payload_size(self) -> int:
@@ -170,24 +173,15 @@ def design_config(L: int, K: int, N: int, P: int,
                   filter_family: str = "hermite",
                   overlap: float | None = None,
                   f_max: float = 2.0, xi: int = 0) -> ModulationConfig:
-    """Populate a configuration with the default chirp rates.
-
-    The pre-chirp rate follows the delay-Doppler separability default
-    for the P-point stage and is shared with the L-point stage, so the
-    two stages cancel exactly through the grid embedding.  The
-    post-chirp rates use the 1/(pi n^2) convention per stage.
-    """
+    """A configuration at the family's default overlap; its chirp rates
+    derive from ``f_max`` and ``xi`` (:attr:`ModulationConfig.c1`)."""
     if overlap is None:
         try:
             overlap = _DEFAULT_OVERLAP[filter_family]
         except KeyError:
             raise ValueError(f"no default overlap for family "
                              f"{filter_family!r}; pass overlap explicitly")
-    c1 = default_c1(f_max, xi, P)
-    return ModulationConfig(
-        L=L, K=K, N=N, P=P, overlap=overlap, filter_family=filter_family,
-        c1_L=c1, c2_L=default_c2(L), c1_P=c1, c2_P=default_c2(P),
-        xi=xi)
+    return ModulationConfig(L, K, N, P, overlap, filter_family, f_max, xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +280,7 @@ class AfbmModem:
 
         # Synthesis o the L-point DAFT of the precoder.
         composed = synthesis_block(cfg) @ daft_matrix(
-            ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L))
+            ChirpParams(cfg.c1, default_c2(cfg.L), cfg.L))
         gram_diag = self._bank_energy @ (np.abs(composed) ** 2)
         act = active_indices(cfg.L)
         if np.any(gram_diag[act] <= 0):
@@ -310,22 +304,15 @@ class AfbmModem:
             FILTERED: np.mean(self._bank_energy),
         }
 
-    def _fold(self, values: np.ndarray, lo: int = 0,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """Add bank rows lo, lo+1, ... of ``values`` onto rows taken mod N.
-
-        This is the transposed bank's action on values already weighted
-        by their taps: every window row lands on one grid row, in at
-        most ceil(rows/N) + 1 contiguous chunks.
-        """
+    def _fold(self, values: np.ndarray) -> np.ndarray:
+        """Add the rows of ``values`` onto grid rows taken mod N: the
+        transposed bank's action on values already weighted by their
+        taps, in ceil(rows/N) contiguous chunks."""
         N = self.cfg.N
-        if out is None:
-            out = np.zeros((N,) + values.shape[1:], dtype=values.dtype)
-        a, hi = lo, lo + values.shape[0]
-        while a < hi:
-            b = min(hi, (a // N + 1) * N)
-            out[a % N:a % N + b - a] += values[a - lo:b - lo]
-            a = b
+        out = np.zeros((N,) + values.shape[1:], dtype=values.dtype)
+        for a in range(0, values.shape[0], N):
+            chunk = values[a:a + N]
+            out[:chunk.shape[0]] += chunk
         return out
 
     # ------------------------------------------------------------- fast paths

@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "ChirpParams",
-    "check_daft_orthogonality_condition",
     "chirp_phases",
     "daft_matrix",
     "default_c1",
@@ -30,6 +29,7 @@ __all__ = [
     "expansion_matrix",
     "grid_alignment_phases",
     "pruned_daft",
+    "separability_span",
     "synthesis_block",
 ]
 
@@ -154,13 +154,14 @@ def synthesis_block(cfg) -> np.ndarray:
     Parameters
     ----------
     cfg : ModulationConfig
-        Supplies L, P, N, the P-stage chirp rates and the overlap
-        factor (only its parity enters, through the alignment phases).
+        Supplies L, P, N, the pre-chirp rate ``c1`` and the overlap
+        factor (only its parity enters, through the alignment phases);
+        the P-point stage post-chirps at ``default_c2(P)``.
     """
     if not cfg.L < cfg.P <= cfg.N:
         raise ValueError(f"need L < P <= N, got L={cfg.L}, P={cfg.P}, N={cfg.N}")
     L, P, N = cfg.L, cfg.P, cfg.N
-    params = ChirpParams(cfg.c1_P, cfg.c2_P, P)
+    params = ChirpParams(cfg.c1, default_c2(P), P)
     spectrum = np.fft.fft(pruned_daft(L, P, params).conj().T, axis=0,
                           norm="ortho")
     # The expansion: each half of the P-point spectrum at a grid edge.
@@ -186,12 +187,10 @@ def default_c2(n: int) -> float:
     return 1.0 / (math.pi * n * n)
 
 
-def check_daft_orthogonality_condition(
-    f_max: float, l_max: int, xi: int, P: int
-) -> bool:
-    """True when 2(f_max + xi)(l_max + 1) + l_max <= P.
+def separability_span(f_max: float, l_max: int, xi: int) -> float:
+    """Affine-domain span 2(f_max + xi)(l_max + 1) + l_max of a spread.
 
-    Under this inequality the delay-Doppler spread fits inside one
-    affine-domain period, so paths stay separable.
+    Paths stay separable when the span is at most P: the delay-Doppler
+    spread then fits inside one affine-domain period.
     """
-    return 2.0 * (f_max + xi) * (l_max + 1) + l_max <= P
+    return 2.0 * (f_max + xi) * (l_max + 1) + l_max

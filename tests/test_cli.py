@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +40,72 @@ min_bit_errors: 10
 """
 
 
+# Every key away from its default, and the canonical text and
+# fingerprint it has always had: a key dropped, renamed or moved to
+# another section changes one or the other.
+EVERY_KEY = """
+kind: ber
+seed: 7
+output: elsewhere
+modulation: {L: 32, K: 4, N: 64, P: [48, 64], filter: [phydyas, hermite], xi: 1}
+channel: {paths: 2, delay_max: 5, doppler_max: 0.5}
+domains: [filtered]
+realizations: 12
+sigma2: {affine: 0.01, filtered: 1.0e-3}
+averaging: db
+snr_db: [3.5, 9]
+trials: 17
+min_bit_errors: 9
+qam_order: 16
+emit_heatmap: true
+"""
+
+EVERY_KEY_CANONICAL = """\
+averaging: db
+channel:
+  delay_max: 5
+  doppler_max: 0.5
+  paths: 2
+domains:
+- filtered
+emit_heatmap: true
+kind: ber
+min_bit_errors: 9
+modulation:
+  K: 4
+  L: 32
+  N: 64
+  P:
+  - 48
+  - 64
+  filter:
+  - phydyas
+  - hermite
+  xi: 1
+output: elsewhere
+qam_order: 16
+realizations: 12
+seed: 7
+sigma2:
+  affine: 0.01
+  filtered: 0.001
+snr_db:
+- 3.5
+- 9.0
+trials: 17
+"""
+
+
 class TestSpecSerialization:
+
+    def test_every_key_is_pinned(self):
+        spec = parse_spec(EVERY_KEY)
+        defaults = cli.ExperimentSpec(kind="")
+        assert [f.name for f in fields(spec)
+                if getattr(spec, f.name) == getattr(defaults, f.name)] == []
+        assert serialize_spec(spec) == EVERY_KEY_CANONICAL
+        assert spec_fingerprint(spec) == "09f563eddbea"
+        assert parse_spec(EVERY_KEY_CANONICAL) == spec
 
     def test_roundtrip_custom(self):
         spec = parse_spec(SMALL_SIR)

@@ -9,13 +9,14 @@ from afbm.filters import single_symbol_matrix
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                         active_indices, design_config, mapping_matrix,
                         qam_alphabet, qam_demap, qam_map)
-from afbm.transforms import ChirpParams, daft_matrix, synthesis_block
+from afbm.transforms import (ChirpParams, daft_matrix, default_c2,
+                             synthesis_block)
 
 
 def precoder(modem):
     """L x L precoding matrix: the L-point DAFT times the gain vector."""
     cfg = modem.cfg
-    return daft_matrix(ChirpParams(cfg.c1_L, cfg.c2_L, cfg.L)) * \
+    return daft_matrix(ChirpParams(cfg.c1, default_c2(cfg.L), cfg.L)) * \
         modem._comp[None, :]
 
 
@@ -27,9 +28,9 @@ class TestDesignConfig:
 
     def test_shared_upsweep_rate(self):
         cfg = design_config(64, 8, 128, 96, "hermite")
-        assert cfg.c1_L == cfg.c1_P == pytest.approx(5 / 192)
-        assert cfg.c2_L == pytest.approx(1 / (np.pi * 64 ** 2))
-        assert cfg.c2_P == pytest.approx(1 / (np.pi * 96 ** 2))
+        assert cfg.c1 == pytest.approx(5 / 192)
+        assert default_c2(cfg.L) == pytest.approx(1 / (np.pi * 64 ** 2))
+        assert default_c2(cfg.P) == pytest.approx(1 / (np.pi * 96 ** 2))
 
     def test_sizes(self):
         cfg = design_config(64, 8, 128, 96, "hermite")
@@ -43,6 +44,16 @@ class TestDesignConfig:
         assert any("L" in v for v in bad.violations())
         with pytest.raises(ValueError):
             AfbmModem(bad)
+
+    @pytest.mark.parametrize("f_max", [-0.5, float("nan"), float("inf")])
+    def test_f_max_must_be_finite_and_non_negative(self, f_max):
+        # The pre-chirp rate derives from f_max, so a bad one is refused
+        # with its name before any transform is built.
+        cfg = design_config(64, 8, 128, 96, "hermite", f_max=f_max)
+        want = f"f_max must be finite and >= 0, got {f_max}"
+        assert cfg.violations() == [want]
+        with pytest.raises(ValueError, match=want):
+            AfbmModem(cfg)
 
 
 class TestMapping:

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from afbm.transforms import (ChirpParams, chirp_phases,
-                             check_daft_orthogonality_condition, daft_matrix,
+from afbm.transforms import (ChirpParams, chirp_phases, daft_matrix,
                              default_c1, default_c2, dft_matrix,
                              expansion_matrix, grid_alignment_phases,
-                             pruned_daft, synthesis_block)
+                             pruned_daft, separability_span, synthesis_block)
 from afbm.modem import design_config
 
 
@@ -127,8 +126,8 @@ class TestSynthesisBlock:
         N, L = 256, 64
         cfg = design_config(L, 8, N, P, family)
         dft = {n: np.fft.fft(np.eye(n), axis=0, norm="ortho") for n in (N, P)}
-        pre = chirp_phases(cfg.c1_P, P)[:L]
-        post = chirp_phases(cfg.c2_P, P)
+        pre = chirp_phases(cfg.c1, P)[:L]
+        post = chirp_phases(default_c2(P), P)
         pruned = pre[:, None] * dft[P][:L] * post[None, :]
         want = dft[N].conj().T @ (
             grid_alignment_phases(N, cfg.overlap)[:, None]
@@ -152,4 +151,4 @@ class TestDesignRules:
         (1.0, 12, 0, 48, True),
     ])
     def test_orthogonality_condition(self, f_max, l_max, xi, P, ok):
-        assert check_daft_orthogonality_condition(f_max, l_max, xi, P) is ok
+        assert (separability_span(f_max, l_max, xi) <= P) is ok
