@@ -1,25 +1,19 @@
 """MMSE equalization, interference matrices, and hard detection.
 
-Detection works per channel realization from the dense effective
-channel of a detection domain.  The white-noise MMSE form is used in
-both domains even though the receive chains color the noise; that
-mismatch is part of the modeled receiver, not an implementation
+Detection works per channel realization from the normal equations of a
+detection domain's effective channel.  The white-noise MMSE form is
+used in both domains even though the receive chains color the noise;
+that mismatch is part of the modeled receiver, not an implementation
 shortcut.
 
-One Gram serves both fast paths: :func:`_gram` forms the lower
-triangle of Heff^H Heff, over the effective channel's block support
-only, and never mirrors it; :func:`_window_gram` adds one receive
-window's share, for it and for the SIR pass, which sums the filtered
-channel's windows as they are produced.  :func:`delta_from_gram`, the
-SIR hot path, reads Delta = I - r (G + r I)^-1 from one Cholesky inverse of
-that triangle and returns Delta's lower triangle, unmirrored too: Delta
-is Hermitian, so the triangle is all of it, and the SIR pass reads
-both the SIR and |Delta|^2 from it.  At zero noise r is always a
-relative ridge of 1e-10 times the mean Gram diagonal, so a zero-forcing
-Delta is set by that one stated regularizer, not by roundoff.
-:func:`mmse_detect`, for BER frames, factors the triangle in place and
-solves the normal equations for the one received vector without
-forming the equalizer.
+Both fast paths start from the lower triangle of Heff^H Heff, never
+mirrored: :func:`_gram` forms it over the channel's block support, and
+:func:`_window_gram` adds one receive window's share, for it and for the
+per-realization sweep (:func:`afbm.metrics._systems`), which never
+forms the filtered channel.  :func:`delta_from_gram`, for SIR samples,
+reads Delta's lower triangle from one Cholesky inverse of it, with a
+stated relative ridge at zero noise; :func:`mmse_detect`, for BER
+frames, factors it in place and solves for the sweep's right-hand side.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against.
@@ -103,7 +97,7 @@ def _gram(h: np.ndarray, support: np.ndarray | None = None,
     :class:`afbm.modem.EffectiveChannel`) adds its share through
     :func:`_window_gram`, blocks outside the support costing nothing.
     A filtered channel is always summed window by window, because the
-    SIR pass sums it so without forming it, and both then give the same
+    sweep sums it so without forming it, and both then give the same
     bits.  ``out``, when given, is a C-ordered complex n x n buffer that
     is zeroed and filled; otherwise a new array is returned.
     """
@@ -182,16 +176,15 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     Only the lower triangle of ``gram`` and its diagonal are read, so
     the triangle :func:`_gram` forms serves as it is.  The function
     owns a writeable complex C-ordered ``gram``, as :func:`mmse_detect`
-    owns :func:`_gram`'s output: r is added on its diagonal and it is
-    factored in place, so it is changed also when the call raises, and
-    a caller that needs it afterwards passes a copy.  Any other
-    ``gram`` is copied first and left as it is.  The inverse comes
-    from ``zpotrf`` + ``zpotri`` on that triangle (about n^3 flops,
-    against 7n^3/3 for a factorization and an n-column solve) and is
-    not mirrored: as with :func:`_gram`, only the lower triangle of the
-    result is Delta's, and the entries above it hold -r times what
-    ``gram`` held there.  A Gram the factorization rejects raises
-    ValueError naming n and r.
+    owns its Gram: r is added on its diagonal and it is factored in
+    place, so it is changed also when the call raises, and a caller
+    that needs it afterwards passes a copy.  Any other ``gram`` is
+    copied first and left as it is.  The inverse comes from ``zpotrf``
+    + ``zpotri`` on that triangle (about n^3 flops, against 7n^3/3 for
+    a factorization and an n-column solve) and is not mirrored: as with
+    :func:`_gram`, only the lower triangle of the result is Delta's, and
+    the entries above it hold -r times what ``gram`` held there.  A
+    Gram the factorization rejects raises ValueError naming n and r.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
@@ -217,14 +210,6 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     return delta
 
 
-def _received_vector(received: np.ndarray, rows: int) -> np.ndarray:
-    received = np.asarray(received, dtype=complex)
-    if received.shape != (rows,):
-        raise ValueError(f"received vector must have shape ({rows},), "
-                         f"got {received.shape}")
-    return received
-
-
 def _nearest_symbols(soft: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
     """Slice each soft estimate to the nearest alphabet symbol."""
     alphabet = np.asarray(alphabet, dtype=complex)
@@ -235,39 +220,41 @@ def _nearest_symbols(soft: np.ndarray, alphabet: np.ndarray) -> np.ndarray:
 def equalize_and_detect(eq: Equalizer, received: np.ndarray,
                         alphabet: np.ndarray) -> np.ndarray:
     """Apply the equalizer and slice each coordinate to the nearest symbol."""
-    received = _received_vector(received, eq.matrix.shape[1])
+    received = np.asarray(received, dtype=complex)
+    if received.shape != eq.matrix.shape[1:]:
+        raise ValueError(f"received vector must have shape "
+                         f"({eq.matrix.shape[1]},), got {received.shape}")
     return _nearest_symbols(eq.matrix @ received, alphabet)
 
 
-def mmse_detect(heff: EffectiveChannel, received: np.ndarray,
-                sigma2: float, alphabet: np.ndarray) -> np.ndarray:
-    """MMSE hard decisions for one received vector, without forming E.
+def mmse_detect(gram: np.ndarray, rhs: np.ndarray, sigma2: float,
+                alphabet: np.ndarray) -> np.ndarray:
+    """MMSE hard decisions for one received vector r, without forming E.
 
-    Solves (Heff^H Heff + sigma2 I) x = Heff^H r with a single
-    right-hand side, so the cost is the Gram and its factorization
-    rather than a solve against every row of Heff.  Decisions agree
-    with ``equalize_and_detect(mmse(heff, sigma2), received, alphabet)``
-    up to roundoff in the soft estimates.
+    Solves (Heff^H Heff + sigma2 I) x = Heff^H r from ``gram``, the
+    lower triangle of Heff^H Heff in :func:`_gram`'s layout, and
+    ``rhs``, Heff^T conj(r) = conj(Heff^H r), as the per-realization
+    sweep (:func:`afbm.metrics._systems`) yields them.  Decisions agree
+    with ``equalize_and_detect(mmse(heff, sigma2), r, alphabet)`` up to
+    roundoff in the soft estimates.
 
-    The Gram is :func:`_gram`'s triangle over the channel's block
-    support.  It takes sigma2 on its diagonal, and its ``.T`` view, the
-    upper triangle of conj(Heff^H Heff + sigma2 I), is factored in
-    place.  The right-hand side Heff^T conj(r) is conj(Heff^H r), so
-    the solve returns the conjugated soft estimates; conjugating that
-    n-vector gives them.  Neither Heff nor the Gram is conjugated, and
-    the only n x n array is the Gram itself.
+    It owns both, as :func:`delta_from_gram` owns its Gram: the
+    writeable complex C-ordered ``gram`` takes sigma2 on its diagonal
+    and its ``.T`` view, the upper triangle of conj(G + sigma2 I), is
+    factored in place, and ``rhs`` is solved in place into the soft
+    estimates' conjugates; conjugating that n-vector gives them.
     """
     if not sigma2 >= 0:
         raise ValueError(f"noise variance must be >= 0, got {sigma2}")
-    Hm = heff.matrix
-    received = _received_vector(received, Hm.shape[0])
-    n = Hm.shape[1]
-    reg = _gram(Hm, heff.support)
-    reg[np.diag_indices(n)] += sigma2
-    factor, info = scipy.linalg.lapack.zpotrf(reg.T, lower=0, clean=0,
+    n = gram.shape[0]
+    if rhs.shape != (n,):
+        raise ValueError(f"right-hand side must have shape ({n},), "
+                         f"got {rhs.shape}")
+    gram[np.diag_indices(n)] += sigma2
+    factor, info = scipy.linalg.lapack.zpotrf(gram.T, lower=0, clean=0,
                                               overwrite_a=1)
     if info != 0:
         raise _rank_deficient(n, sigma2)
-    soft, _ = scipy.linalg.lapack.zpotrs(factor, Hm.T @ received.conj(),
-                                         lower=0, overwrite_b=1)
+    soft, _ = scipy.linalg.lapack.zpotrs(factor, rhs, lower=0,
+                                         overwrite_b=1)
     return _nearest_symbols(soft.conj(), alphabet)

@@ -10,10 +10,13 @@ The affine receiver is C^H after the filtered one (see
 :mod:`afbm.modem`).  The waveform SIR reads the identity realization's
 affine channel, S^H S, as a conditioned SIR; S is never formed.
 
-:func:`sir_pass` is the one SIR Monte-Carlo pass: per realization index
-it draws the channel once and, per domain, computes Delta once; that
-Delta yields the SIR sample and, when asked, the |Delta|^2 that the
-mean interference heatmap accumulates in index order.  It and
+One sweep, :func:`_systems`, builds a realization's MMSE systems
+without forming the filtered channel H_f.  A BER frame solves its one
+system (:func:`afbm.equalize.mmse_detect`).  :func:`sir_pass` is the
+one SIR Monte-Carlo pass: per realization index it draws the channel
+once and, per domain, reduces the Gram to Delta once; that Delta
+yields the SIR sample and, when asked, the |Delta|^2 that the mean
+interference heatmap accumulates in index order.  It and
 :func:`ber_curve` run their tasks through one runner, :func:`_runner`,
 and fold the results in task order, whatever the number of workers.
 
@@ -163,61 +166,70 @@ def _trial_draw(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
         size=modem.cfg.frame_size)
 
 
+def _systems(modem: AfbmModem, realization: _channel.ChannelRealization,
+             received: dict):
+    """One realization's MMSE systems, the filtered domain first: per
+    domain of ``received``, (domain, gram, rhs), ``gram`` the lower
+    triangle of Heff^H Heff in :func:`_gram`'s layout and ``rhs``
+    Heff^T conj(y) for y = ``received[domain]``, or None where y is.
+
+    H_f is never formed: one sweep over its windows adds each to the
+    filtered Gram and right-hand side and, on the modem's route through
+    the filtered channel, maps it to the affine rows; otherwise the
+    affine channel is projected after the filtered domain is yielded.
+    The affine Gram is formed in the filtered one's buffer, so a
+    consumer reduces each ``gram`` before it asks for the next.
+    """
+    cfg = modem.cfg
+    n = cfg.payload_size
+    through = AFFINE in received and modem._affine_from_filtered
+    # The affine channel, the Gram and the window buffer, each only when
+    # needed, share one block (10 MiB at preset scale; the buffer takes
+    # the Gram's rows when the Gram follows the sweep): as separate
+    # arrays they cost about 10,500 minor page faults per sir-channel
+    # repetition, by keeping glibc's mmap and trim thresholds low.
+    lead = n if AFFINE in received else 0
+    rows = lead + (n + cfg.N if FILTERED in received
+                   else max(n, cfg.N * through))
+    block = np.empty((rows, n), dtype=complex)
+    affine, gram = block[:lead], block[lead:lead + n]
+    affine.fill(0)
+    if FILTERED in received or through:
+        support, sweep = modem._filtered_windows(
+            realization, [block[rows - cfg.N:]] * cfg.K)
+        runs = _support_runs(support)
+        y = received.get(FILTERED)
+        rhs = None if y is None else np.zeros(n, dtype=complex)
+        if FILTERED in received:
+            gram.fill(0)
+        for j, window in sweep:
+            if FILTERED in received:
+                _window_gram(gram, window, runs[j], cfg.L // 2)
+            if rhs is not None:
+                rhs += window.T @ y[j * cfg.N:(j + 1) * cfg.N].conj()
+            if through:
+                modem._affine_rows(affine, j, window, runs[j])
+        if FILTERED in received:
+            yield FILTERED, gram, rhs
+    if AFFINE in received:
+        if not through:
+            support = modem._project_affine(realization, affine)
+        y = received[AFFINE]
+        gram = _domain_gram(EffectiveChannel(affine, AFFINE, support), gram)
+        yield AFFINE, gram, None if y is None else affine.T @ y.conj()
+
+
 def _sir_sample(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
                 index: int, noise: tuple[tuple[str, float], ...],
                 heatmaps: bool) -> list[tuple]:
     """One realization: per (domain, sigma2) of ``noise``, the
-    conditioned SIR in dB and, when ``heatmaps`` is set, |Delta|^2.
-
-    The channel is drawn once for all domains, and each domain is
-    reduced as soon as its Gram is complete.  The filtered channel H_f
-    is never formed: one sweep over its receive windows
-    (:meth:`AfbmModem._filtered_windows`) adds each window to the
-    filtered Gram and, when the modem routes its affine channel through
-    the filtered one, maps it to the affine rows
-    (:meth:`AfbmModem._affine_rows`).  The filtered Delta and its
-    sample come next.  A modem that projects its affine channel
-    directly (:meth:`AfbmModem._project_affine`) does so after that,
-    into the same block, and the affine Gram is formed in the filtered
-    Gram's buffer (:func:`_domain_gram`) and reduced in turn.  At preset
-    scale a sample holds one 2 MiB window instead of the 16 MiB H_f.
-    """
+    conditioned SIR in dB and, when ``heatmaps`` is set, |Delta|^2, each
+    domain reduced as soon as :func:`_systems` yields its Gram."""
     _, realization = _trial_draw(modem, chan, seed, index)
     sigma2 = dict(noise)
-    cfg = modem.cfg
-    n = cfg.payload_size
-    # The Gram, the affine channel and the window buffer are views of
-    # one block (10 MiB at preset scale).  As separate arrays of 4, 4
-    # and 2 MiB they keep glibc's dynamic mmap and trim thresholds low,
-    # which H_f's 16 MiB used to raise: freed memory then goes back to
-    # the system and is faulted in again, about 10,500 minor page
-    # faults per sir-channel repetition against none with the block.
-    block = np.empty(n * (2 * n + cfg.N), dtype=complex)
-    gram = block[:n * n].reshape(n, n)
-    affine = block[n * n:2 * n * n].reshape(n, n)
-    buffer = block[2 * n * n:].reshape(cfg.N, n)
-    affine.fill(0)
-    through = AFFINE in sigma2 and modem._affine_from_filtered
-    samples = {}
-    if FILTERED in sigma2 or through:
-        support, sweep = modem._filtered_windows(realization,
-                                                 [buffer] * cfg.K)
-        runs = _support_runs(support)
-        gram.fill(0)
-        for j, window in sweep:
-            if FILTERED in sigma2:
-                _window_gram(gram, window, runs[j], cfg.L // 2)
-            if through:
-                modem._affine_rows(affine, j, window, runs[j])
-        if FILTERED in sigma2:
-            samples[FILTERED] = _domain_sample(gram, sigma2[FILTERED],
-                                               heatmaps)
-    if AFFINE in sigma2:
-        if not through:
-            support = modem._project_affine(realization, affine)
-        samples[AFFINE] = _domain_sample(
-            _domain_gram(EffectiveChannel(affine, AFFINE, support), gram),
-            sigma2[AFFINE], heatmaps)
+    samples = {domain: _domain_sample(gram, sigma2[domain], heatmaps)
+               for domain, gram, _ in _systems(modem, realization,
+                                               dict.fromkeys(sigma2))}
     return [samples[domain] for domain, _ in noise]
 
 
@@ -367,11 +379,11 @@ def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     r = _channel.apply_channel(realization, s)
     r = _channel.add_awgn(r, sigma2, rng)
 
-    heff = modem.effective_channel(realization, domain)
+    branch_noise = modem.received_noise_power(domain, sigma2)
     received = (modem.matched_demodulate(r) if domain == AFFINE
                 else modem.filtered_receive(r))
-    branch_noise = modem.received_noise_power(domain, sigma2)
-    detected = mmse_detect(heff, received, branch_noise, alphabet)
+    (_, gram, rhs), = _systems(modem, realization, {domain: received})
+    detected = mmse_detect(gram, rhs, branch_noise, alphabet)
     errors = int(np.sum(qam_demap(detected, order) != bits))
     return errors, n_bits
 

@@ -33,8 +33,9 @@ tap weights times rolled copies of C.  One kernel
 (:meth:`AfbmModem._filtered_windows`) produces it one receive window at
 a time, and every consumer reads the windows as they come:
 :meth:`AfbmModem.effective_channel_filtered` writes them into H_f, and
-the SIR pass (:func:`afbm.metrics._sir_sample`) sums them into the
-filtered Gram without forming H_f.
+the per-realization sweep (:func:`afbm.metrics._systems`), which serves
+SIR samples and BER frames alike, sums them into the filtered Gram and
+right-hand side without forming H_f.
 
 The affine channel has two routes, and each modem picks one at build
 from a multiply-add count of its shapes: propagate each symbol's
@@ -43,14 +44,14 @@ wrapping cyclically) and project it onto the receive windows it
 overlaps with the block's adjoint, or map each filtered window through
 C^H as it is produced.  The second wins for a prototype long against N
 (PHYDYAS), where a symbol shares many rows with each window; a short
-one (Hermite) projects directly.  Neither holds H_f, and the SIR pass
-fills the second route's rows in the same sweep as the filtered Gram.
+one (Hermite) projects directly.  Neither holds H_f, and the sweep
+fills the second route's rows in the same pass as the filtered Gram.
 
 No fast path forms a dense matrix.  Effective channels take channel
 realizations only; the dense matrices they are checked against
 (:meth:`AfbmModem.modulation_matrix`, :meth:`AfbmModem.filter_matrix`
-around :func:`afbm.channel.channel_matrix`) are oracles, built on each
-call.
+around :func:`afbm.channel.channel_matrix`, and H_f itself) are
+oracles, built on each call.
 """
 
 from __future__ import annotations
@@ -89,6 +90,9 @@ FILTERED = "filtered"
 class ModulationConfig:
     """Grid and transform parameters of one modulation setup.
 
+    Every field is required: :func:`design_config`, which resolves the
+    family's default overlap, is the one place that declares defaults.
+
     Parameters
     ----------
     L : int
@@ -117,9 +121,9 @@ class ModulationConfig:
     N: int
     P: int
     overlap: float
-    filter_family: str = "hermite"
-    f_max: float = 2.0
-    xi: int = 0
+    filter_family: str
+    f_max: float
+    xi: int
 
     def violations(self) -> list[str]:
         """All violated structural constraints, empty when valid."""
@@ -633,16 +637,12 @@ class AfbmModem:
         """Payload-to-filtered-grid matrix seen by filtered-domain detection.
 
         Rows live on the NK-point receive bank output; columns are the
-        payload coordinates.  With an identity channel this matrix is
-        a near isometry.  The windows of :meth:`_filtered_windows` are
-        written straight into it.  Anything but a channel realization as
-        ``c`` raises TypeError.
+        payload coordinates.  With an identity channel this matrix is a
+        near isometry.  The oracle of :func:`afbm.metrics._systems`, it
+        holds the windows of :meth:`_filtered_windows`.  Anything but a
+        channel realization as ``c`` raises TypeError.
         """
         cfg = self.cfg
-        # Allocated before the kernel's temporaries: allocated after
-        # them, H_f kept about 1 MB more of glibc's heap resident over a
-        # sir-channel run.  BER frames and tests form H_f; a SIR sample
-        # never does (its buffers: afbm.metrics._sir_sample).
         out = np.empty((cfg.K, cfg.N, cfg.payload_size), dtype=complex)
         support, sweep = self._filtered_windows(c, out)
         for _ in sweep:

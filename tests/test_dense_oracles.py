@@ -1,9 +1,11 @@
 """Dense matrices exist only as test oracles.
 
-The package source is scanned for calls to the dense oracles.  An
-oracle may call another (``filter_matrix`` builds on ``block_toeplitz``,
-``mmse`` solves through ``_solve_spd``), but no other function, and no
-module-level statement, may call one.
+The package source is scanned for calls to the dense oracles, H_f
+(``effective_channel_filtered``, and ``effective_channel``, which
+dispatches to it) among them.  An oracle may call another
+(``filter_matrix`` builds on ``block_toeplitz``, ``mmse`` solves
+through ``_solve_spd``), but no other function, and no module-level
+statement, may call one.
 """
 
 import ast
@@ -17,7 +19,8 @@ ORACLES = frozenset({
     "modulation_matrix", "filter_matrix", "channel_matrix",
     "block_toeplitz", "single_symbol_matrix", "mapping_matrix",
     "expansion_matrix", "mmse", "delta_matrix", "equalize_and_detect",
-    "sir_conditioned", "_solve_spd",
+    "sir_conditioned", "_solve_spd", "effective_channel",
+    "effective_channel_filtered",
 })
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
                           apply_channel, sample_channel, trial_stream)
-from afbm import equalize
+from afbm import equalize, metrics
 from afbm.equalize import (_gram, _solve_spd, delta_from_gram,
                            delta_matrix, equalize_and_detect, mmse,
                            mmse_detect)
@@ -21,6 +21,13 @@ def random_heff(d, rng, domain=AFFINE):
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     # diagonally dominant, comfortably invertible
     return EffectiveChannel(A / np.sqrt(d) + 2 * np.eye(d), domain)
+
+
+def normal_equations(heff, received):
+    """The Gram triangle and right-hand side mmse_detect solves, formed
+    from a materialized channel."""
+    return _gram(heff.matrix, heff.support), \
+        heff.matrix.T @ np.conj(received)
 
 
 class TestMmse:
@@ -400,10 +407,12 @@ def soft_estimates(monkeypatch):
     return seen
 
 
-def zherk_soft_estimates(heff, received, sigma2):
-    """mmse_detect's soft estimates as it formed them from its own dense
+def zherk_soft_estimates(heff, received, sigma2, rows):
+    """mmse_detect's soft estimates as it forms them from one dense
     zherk: the upper triangle of conj(G) conjugated in place into G's,
-    factored, and solved against the conjugated Heff^T conj(r)."""
+    factored, and solved against the conjugated Heff^T conj(r), which
+    is summed over blocks of ``rows`` rows of Heff, one receive window
+    at a time as the sweep sums it."""
     Hm = heff.matrix
     n = Hm.shape[1]
     reg = scipy.linalg.blas.zherk(1.0, Hm.T, trans=0, lower=0)
@@ -412,7 +421,9 @@ def zherk_soft_estimates(heff, received, sigma2):
     factor, info = scipy.linalg.lapack.zpotrf(reg, lower=0, clean=0,
                                               overwrite_a=1)
     assert info == 0
-    rhs = Hm.T @ received.conj()
+    rhs = np.zeros(n, dtype=complex)
+    for a in range(0, Hm.shape[0], rows):
+        rhs += Hm[a:a + rows].T @ received[a:a + rows].conj()
     soft, _ = scipy.linalg.lapack.zpotrs(factor, np.conjugate(rhs, out=rhs),
                                          lower=0, overwrite_b=1)
     return soft
@@ -422,29 +433,27 @@ class TestMmseDetect:
 
     @staticmethod
     def frame(modem, seed, domain, sigma2):
-        """One simulated frame: the effective channel, the received
-        vector, the detector's noise power and the alphabet."""
+        """One simulated frame: the materialized effective channel, the
+        received vector, the sweep's Gram and right-hand side, the
+        detector's noise power and the alphabet."""
         rng = trial_stream(seed, 0)
         ch = sample_channel(2, 4, 0.5, rng, size=modem.cfg.frame_size)
         alphabet = qam_alphabet(4)
         sent = alphabet[rng.integers(0, 4, modem.cfg.payload_size)]
         r = add_awgn(apply_channel(ch, modem.modulate(sent)), sigma2, rng)
-        if domain == AFFINE:
-            heff = modem.effective_channel_affine(ch)
-            received = modem.matched_demodulate(r)
-        else:
-            heff = modem.effective_channel_filtered(ch)
-            received = modem.filtered_receive(r)
-        return heff, received, modem.received_noise_power(domain, sigma2), \
-            alphabet
+        received = (modem.matched_demodulate(r) if domain == AFFINE
+                    else modem.filtered_receive(r))
+        (_, gram, rhs), = metrics._systems(modem, ch, {domain: received})
+        return modem.effective_channel(ch, domain), received, gram, rhs, \
+            modem.received_noise_power(domain, sigma2), alphabet
 
     @classmethod
     def detect_both(cls, modem, seed, domain, sigma2):
         """Fast and dense-oracle decisions on one simulated frame."""
-        heff, received, noise, alphabet = cls.frame(modem, seed, domain,
-                                                    sigma2)
+        heff, received, gram, rhs, noise, alphabet = cls.frame(
+            modem, seed, domain, sigma2)
         want = equalize_and_detect(mmse(heff, noise), received, alphabet)
-        return mmse_detect(heff, received, noise, alphabet), want
+        return mmse_detect(gram, rhs, noise, alphabet), want
 
     @given(st.integers(0, 2 ** 16), st.sampled_from([AFFINE, FILTERED]),
            st.sampled_from([1e-4, 1e-2, 0.3]))
@@ -470,11 +479,11 @@ class TestMmseDetect:
     def test_block_support_matches_dense_oracle(self, mid_hermite,
                                                 soft_estimates, seed,
                                                 domain, sigma2):
-        heff, received, noise, alphabet = self.frame(mid_hermite, seed,
-                                                     domain, sigma2)
+        heff, received, gram, rhs, noise, alphabet = self.frame(
+            mid_hermite, seed, domain, sigma2)
         assert not heff.support.all()
         want = equalize_and_detect(mmse(heff, noise), received, alphabet)
-        got = mmse_detect(heff, received, noise, alphabet)
+        got = mmse_detect(gram, rhs, noise, alphabet)
         assert np.array_equal(got, want)
         H = heff.matrix
         spd = _solve_spd(H.conj().T @ H, H.conj().T @ received, noise)
@@ -488,38 +497,40 @@ class TestMmseDetect:
             self, mid_phydyas, soft_estimates, K, seed, domain):
         modem = mid_phydyas if K == 8 else \
             AfbmModem(design_config(64, 4, 128, 96, "hermite"))
-        heff, received, noise, alphabet = self.frame(modem, seed, domain,
-                                                     1e-2)
+        heff, received, gram, rhs, noise, alphabet = self.frame(
+            modem, seed, domain, 1e-2)
         assert heff.support.all()
-        mmse_detect(heff, received, noise, alphabet)
-        want = zherk_soft_estimates(heff, received, noise)
+        mmse_detect(gram, rhs, noise, alphabet)
+        rows = modem.cfg.N if domain == FILTERED else received.size
+        want = zherk_soft_estimates(heff, received, noise, rows)
         assert np.array_equal(soft_estimates[-1].view(np.int64),
                               want.view(np.int64))
 
-    def test_peak_allocation_below_the_channel(self):
-        # One n x n Gram, factored in place, is the only large temporary:
-        # no conjugated copy of Heff and no second n x n array.
+    def test_peak_allocation_below_the_gram(self):
+        # The Gram is factored and the right-hand side solved in place:
+        # no n x n array is allocated.
         modem = AfbmModem(design_config(128, 4, 256, 256, "hermite"))
         rng = trial_stream(3, 0)
         ch = sample_channel(3, 16, 2.0, rng, size=modem.cfg.frame_size)
-        heff = modem.effective_channel_filtered(ch)
         received = modem.filtered_receive(
             rng.standard_normal(modem.cfg.frame_size) + 0j)
+        (_, gram, rhs), = metrics._systems(modem, ch, {FILTERED: received})
         alphabet = qam_alphabet(4)
         tracemalloc.start()
         try:
-            mmse_detect(heff, received, 1e-2, alphabet)
+            mmse_detect(gram, rhs, 1e-2, alphabet)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert heff.matrix.nbytes == 4 * 2 ** 20
-        assert peak < heff.matrix.nbytes
+        assert gram.nbytes == 2 ** 20
+        assert peak < gram.nbytes
 
     def test_recovers_clean_symbols_zero_forcing(self, rng):
         heff = random_heff(20, rng)
         alphabet = qam_alphabet(4)
         sent = alphabet[rng.integers(0, 4, 20)]
-        got = mmse_detect(heff, heff.matrix @ sent, 0.0, alphabet)
+        got = mmse_detect(*normal_equations(heff, heff.matrix @ sent), 0.0,
+                          alphabet)
         assert np.array_equal(got, sent)
 
     def test_rectangular_channel_shape(self, rng):
@@ -527,25 +538,27 @@ class TestMmseDetect:
         heff = EffectiveChannel(A, FILTERED)
         alphabet = qam_alphabet(4)
         sent = alphabet[rng.integers(0, 4, 5)]
-        got = mmse_detect(heff, A @ sent, 1e-6, alphabet)
+        got = mmse_detect(*normal_equations(heff, A @ sent), 1e-6, alphabet)
         assert got.shape == (5,)
         assert np.array_equal(got, sent)
 
-    @pytest.mark.parametrize("shape", [(11,), (13,), (12, 1), ()])
-    def test_rejects_misshaped_received(self, rng, shape):
-        heff = EffectiveChannel(np.ones((12, 5), dtype=complex), FILTERED)
-        with pytest.raises(ValueError, match="received vector"):
-            mmse_detect(heff, np.zeros(shape), 0.1, qam_alphabet(4))
+    @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
+    def test_rejects_misshaped_rhs(self, shape):
+        with pytest.raises(ValueError,
+                           match=r"right-hand side must have shape \(5,\)"):
+            mmse_detect(np.eye(5, dtype=complex),
+                        np.zeros(shape, dtype=complex), 0.1,
+                        qam_alphabet(4))
 
-    def test_rejects_negative_noise(self, rng):
-        heff = random_heff(4, rng)
+    def test_rejects_negative_noise(self):
         with pytest.raises(ValueError, match="noise variance"):
-            mmse_detect(heff, np.zeros(4), -1e-3, qam_alphabet(4))
+            mmse_detect(np.eye(4, dtype=complex), np.zeros(4, dtype=complex),
+                        -1e-3, qam_alphabet(4))
 
     def test_singular_gram_named_as_mmse(self):
-        heff = EffectiveChannel(np.zeros((6, 4), dtype=complex), AFFINE)
         with pytest.raises(ValueError, match="^mmse: 4x4 Gram"):
-            mmse_detect(heff, np.zeros(6), 0.0, qam_alphabet(4))
+            mmse_detect(np.zeros((4, 4), dtype=complex),
+                        np.zeros(4, dtype=complex), 0.0, qam_alphabet(4))
 
 
 class TestNoiseRefusal:
@@ -564,7 +577,8 @@ class TestNoiseRefusal:
                 _gram(heff.matrix), sigma2),
             "mmse": lambda: mmse(heff, sigma2),
             "mmse_detect": lambda: mmse_detect(
-                heff, np.zeros(4), sigma2, qam_alphabet(4)),
+                *normal_equations(heff, np.zeros(4)), sigma2,
+                qam_alphabet(4)),
             "add_awgn": lambda: add_awgn(np.zeros(4, dtype=complex),
                                          sigma2, rng),
         }[solver]

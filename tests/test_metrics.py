@@ -13,7 +13,8 @@ from afbm.equalize import _gram, delta_from_gram, delta_matrix, mmse
 from afbm.filters import custom_prototype
 from afbm.metrics import (BerPoint, ber_curve, sir_conditioned, sir_pass,
                           sir_waveform)
-from afbm.modem import AFFINE, FILTERED, AfbmModem, design_config
+from afbm.modem import (AFFINE, FILTERED, AfbmModem, design_config,
+                        qam_alphabet)
 
 
 @pytest.fixture(scope="module")
@@ -315,6 +316,25 @@ class TestSirSample:
                                       (np.abs(delta) ** 2).view(np.int64))
             else:
                 assert power is None
+        # With received vectors the sweep also sums each domain's
+        # right-hand side, and its Grams keep their bits.
+        rng = np.random.default_rng(seed)
+        rows = {AFFINE: modem.cfg.payload_size,
+                FILTERED: modem.cfg.N * modem.cfg.K}
+        received = {domain: rng.standard_normal(rows[domain])
+                    + 1j * rng.standard_normal(rows[domain])
+                    for domain in domains}
+        swept = []
+        for domain, gram, rhs in metrics._systems(modem, realization,
+                                                  received):
+            swept.append(domain)
+            heff = modem.effective_channel(realization, domain)
+            assert np.array_equal(
+                gram.view(np.int64),
+                _gram(heff.matrix, heff.support).view(np.int64))
+            want = heff.matrix.T @ received[domain].conj()
+            assert np.abs(rhs - want).max() <= 1e-12 * np.abs(want).max()
+        assert swept == [d for d in (FILTERED, AFFINE) if d in domains]
 
     @pytest.mark.parametrize("family", ["hermite", "phydyas"])
     def test_peak_allocation_below_the_filtered_channel(self, family):
@@ -332,6 +352,24 @@ class TestSirSample:
             tracemalloc.stop()
         assert filtered_bytes == 16 * 2 ** 20
         assert peak < filtered_bytes
+
+
+class TestBerTrial:
+
+    @pytest.mark.parametrize("family", ["hermite", "phydyas"])
+    def test_filtered_peak_below_the_channel_and_its_gram(self, family):
+        # Preset shape: H_f (16 MiB) and its Gram (4 MiB), which a frame
+        # that formed H_f held together, are never formed together.
+        modem = AfbmModem(design_config(128, 8, 256, 192, family))
+        chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
+        tracemalloc.start()
+        try:
+            metrics._ber_trial(modem, chan, FILTERED, 20250819, 0, 1e-2, 4,
+                               qam_alphabet(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 class TestBerCurve:
