@@ -24,7 +24,8 @@ The conditioned SIR is sum|Delta_ii|^2 / sum_{i!=j}|Delta_ij|^2.  The
 pass reads it from the lower triangle that
 :func:`afbm.equalize.delta_from_gram` returns, the interference summed
 directly as twice the strict lower triangle's power; the |Delta|^2
-triangles are summed and their mean mirrored once per pass.
+triangles travel and are summed packed, and their mean is mirrored
+once per pass.
 :func:`sir_conditioned` reads a dense Delta, for the oracle.
 """
 
@@ -151,10 +152,17 @@ def _domain_gram(heff, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
-    """The SIR in dB and, when ``heatmaps`` is set, |Delta|^2, whose
-    lower triangle is the map's (see :func:`_mirrored`)."""
+    """The SIR in dB and, when ``heatmaps`` is set, |Delta|^2's lower
+    triangle packed by rows (see :func:`_mirrored`): each row's part
+    goes through ``abs`` into it, then it is squared in place."""
     delta = delta_from_gram(gram, sigma2)
-    return _lower_sir_db(delta), (np.abs(delta) ** 2 if heatmaps else None)
+    power = None
+    if heatmaps:
+        power = np.empty(len(delta) * (len(delta) + 1) // 2)
+        for i, row in enumerate(delta):
+            np.abs(row[:i + 1], out=power[i * (i + 1) // 2:][:i + 1])
+        np.square(power, out=power)
+    return _lower_sir_db(delta), power
 
 
 def _trial_draw(modem: AfbmModem, chan: _channel.ChannelConfig, seed: int,
@@ -179,40 +187,51 @@ def _systems(modem: AfbmModem, realization: _channel.ChannelRealization,
     affine channel is projected after the filtered domain is yielded.
     The affine Gram is formed in the filtered one's buffer, so a
     consumer reduces each ``gram`` before it asks for the next.
+
+    Memory follows the route: one block holds the Gram, the through
+    route's affine channel and a spare part for the window and then the
+    direct route's affine channel (8 MiB for a Hermite SIR sample at
+    preset scale, 10 MiB for PHYDYAS), except that an affine frame on
+    the through route frees its window before it forms its Gram.
     """
     cfg = modem.cfg
     n = cfg.payload_size
+    filtered = FILTERED in received
     through = AFFINE in received and modem._affine_from_filtered
-    # The affine channel, the Gram and the window buffer, each only when
-    # needed, share one block (10 MiB at preset scale; the buffer takes
-    # the Gram's rows when the Gram follows the sweep): as separate
-    # arrays they cost about 10,500 minor page faults per sir-channel
-    # repetition, by keeping glibc's mmap and trim thresholds low.
-    lead = n if AFFINE in received else 0
-    rows = lead + (n + cfg.N if FILTERED in received
-                   else max(n, cfg.N * through))
-    block = np.empty((rows, n), dtype=complex)
-    affine, gram = block[:lead], block[lead:lead + n]
-    affine.fill(0)
-    if FILTERED in received or through:
-        support, sweep = modem._filtered_windows(
-            realization, [block[rows - cfg.N:]] * cfg.K)
+    direct = AFFINE in received and not through
+    if filtered or not through:
+        # One block: as separate arrays these cost about 10,500 minor
+        # page faults per sir-channel repetition, by keeping glibc's
+        # mmap and trim thresholds low.
+        spare = max(cfg.N if filtered else 0, n if direct else 0)
+        block = np.empty((n * (1 + through) + spare, n), dtype=complex)
+        gram, affine, buffer = block[:n], block[n:2 * n], block[-cfg.N:]
+    else:
+        gram, affine = None, np.empty((n, n), dtype=complex)
+        buffer = np.empty((cfg.N, n), dtype=complex)
+    if through:
+        affine.fill(0)
+    if filtered or through:
+        support, sweep = modem._filtered_windows(realization,
+                                                 [buffer] * cfg.K)
         runs = _support_runs(support)
         y = received.get(FILTERED)
         rhs = None if y is None else np.zeros(n, dtype=complex)
-        if FILTERED in received:
+        if filtered:
             gram.fill(0)
         for j, window in sweep:
-            if FILTERED in received:
+            if filtered:
                 _window_gram(gram, window, runs[j], cfg.L // 2)
             if rhs is not None:
                 rhs += window.T @ y[j * cfg.N:(j + 1) * cfg.N].conj()
             if through:
                 modem._affine_rows(affine, j, window, runs[j])
-        if FILTERED in received:
+        del buffer, window
+        if filtered:
             yield FILTERED, gram, rhs
     if AFFINE in received:
-        if not through:
+        if direct:
+            affine.fill(0)
             support = modem._project_affine(realization, affine)
         y = received[AFFINE]
         gram = _domain_gram(EffectiveChannel(affine, AFFINE, support), gram)
@@ -277,11 +296,12 @@ def _statistics(samples_db: list[float], averaging: str) -> SirStatistics:
     )
 
 
-def _mirrored(power: np.ndarray) -> np.ndarray:
-    """``power``'s lower triangle copied onto its upper one, in place,
-    a row at a time, so no n x n index or value array is made."""
-    for i in range(power.shape[0]):
-        power[i, i + 1:] = power[i + 1:, i]
+def _mirrored(packed: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n map whose lower triangle, row by row, is
+    ``packed``, unpacked through one boolean mask, not index arrays."""
+    lower = np.tri(n, dtype=bool)
+    power = np.empty((n, n))
+    power[lower] = power.T[lower] = packed
     return power
 
 
@@ -308,12 +328,13 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     Each index draws its channel once from the stream keyed by
     (seed, index), and each domain's Delta is computed once and feeds
     both its SIR sample and its |Delta|^2.  Results are folded in index
-    order (``acc + power``, then ``/ count``), whether they come from
-    this process or from ``workers`` pool processes, so the output is
-    reproducible bit-exactly and does not depend on ``workers``.
-    Memory is one n x n accumulator per domain, not one Delta per
-    realization.  Each |Delta|^2 is valid on and below its diagonal
-    only; the accumulator is mirrored once, after the mean.
+    order (``acc + power`` in place, then ``/ count``), whether they
+    come from this process or from ``workers`` pool processes, so the
+    output is reproducible bit-exactly and does not depend on
+    ``workers``.  Each |Delta|^2 travels and is summed as its lower
+    triangle packed by rows, half a square map's bytes: memory is one
+    such accumulator per domain, not one Delta per realization, and
+    each mean is mirrored once (:func:`_mirrored`).
 
     A noise power of zero selects the zero-forcing reading, which
     always applies the relative ridge of
@@ -345,21 +366,20 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
                          f"got {averaging!r}")
     noise = tuple(sigma2.items())
     samples = {domain: [] for domain in sigma2}
-    acc = dict.fromkeys(sigma2)
+    n = modem.cfg.payload_size
+    acc = {d: np.zeros(n * (n + 1) // 2) for d in sigma2} if heatmaps else {}
     with _runner(modem, _sir_sample, workers) as run:
         for per_domain in run([(chan, seed, i, noise, heatmaps)
                                for i in indices]):
             for domain, (sir, power) in zip(sigma2, per_domain):
                 samples[domain].append(sir)
                 if heatmaps:
-                    acc[domain] = (power if acc[domain] is None
-                                   else acc[domain] + power)
+                    np.add(acc[domain], power, out=acc[domain])
             # Free this index's maps before the next index is computed.
             del per_domain, power
     return SirPass(
         statistics={d: _statistics(s, averaging) for d, s in samples.items()},
-        heatmaps={d: _mirrored(a / len(indices)) for d, a in acc.items()}
-        if heatmaps else {})
+        heatmaps={d: _mirrored(a / len(indices), n) for d, a in acc.items()})
 
 
 # ------------------------------------------------------------------ BER curve

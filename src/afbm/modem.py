@@ -541,8 +541,8 @@ class AfbmModem:
         symbols it supports.  Blocks off the runs are left as they are."""
         w = self._despread.shape[0]
         for a, b in runs:
-            out[j * w:(j + 1) * w, a * w:b * w] = \
-                self._despread @ window[:, a * w:b * w]
+            np.matmul(self._despread, window[:, a * w:b * w],
+                      out=out[j * w:(j + 1) * w, a * w:b * w])
 
     def _weight_table(self, twists) -> np.ndarray:
         """Tap weights of the filtered channel per j - k, path and class.

@@ -1,4 +1,6 @@
+import ctypes
 import os
+import re
 
 # One BLAS thread: the suite's matrices are small, and OpenBLAS's default
 # thread pool makes them many times slower on few-core machines.  Must
@@ -12,6 +14,58 @@ import pytest  # noqa: E402
 from afbm import AfbmModem, design_config  # noqa: E402
 
 _ACCEPTANCE_LINES: list[str] = []
+
+
+def _openblas_call(lib, name: str, restype):
+    """``lib``'s getter ``name``, under whichever of OpenBLAS's symbol
+    prefixes and suffixes the build exports, or None."""
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            func = getattr(lib, f"{prefix}_{name}{suffix}", None)
+            if func is not None:
+                func.argtypes, func.restype = [], restype
+                return func()
+    return None
+
+
+def blas_stamp() -> tuple[str, ...]:
+    """One entry per OpenBLAS library loaded in this process, read
+    through ctypes: its name, version, the core its DYNAMIC_ARCH
+    dispatch picked and its thread count.
+
+    numpy and scipy each load their own copy, so both are named: the
+    Gram and Cholesky kernels run in scipy's, the products in numpy's.
+    Empty where the loaded libraries cannot be listed (no /proc).
+    """
+    import scipy.linalg.blas  # noqa: F401  (loads scipy's copy)
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.split()[-1]})
+    except OSError:
+        return ()
+    stamp = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        config = (_openblas_call(lib, "get_config", ctypes.c_char_p)
+                  or b"? ?").decode().split()
+        core = (_openblas_call(lib, "get_corename", ctypes.c_char_p)
+                or b"?").decode()
+        threads = _openblas_call(lib, "get_num_threads", ctypes.c_int)
+        name = re.match(r"[^-.]+", os.path.basename(path)).group()
+        stamp.append(f"{name} {config[1]} {core} threads={threads}")
+    return tuple(stamp)
+
+
+def pytest_report_header(config):
+    return [f"BLAS: {line}" for line in blas_stamp()] or \
+        ["BLAS: no OpenBLAS library listed"]
+
+
+@pytest.fixture(scope="session", name="blas_stamp")
+def blas_stamp_fixture() -> tuple[str, ...]:
+    """This process's :func:`blas_stamp`, which keys result-byte tables."""
+    return blas_stamp()
 
 
 @pytest.fixture(scope="session")

@@ -362,6 +362,16 @@ class TestSupportGram:
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     def test_full_support_phydyas(self, mid_phydyas, domain):
+        """A full support sums the Gram one receive window at a time,
+        and that equals one ``zherk`` over the whole channel bit for bit.
+
+        For the filtered channel the identity holds only while
+        ``zherk``'s k block divides the N = 128 rows per window: 128 in
+        the OpenBLAS 0.3.30 scipy 1.17 ships, on a SkylakeX core.  With
+        16, 32 or 64 rows per window the last bits differ, so under a
+        BLAS with another k block the [filtered] case may fail with no
+        change to the package.
+        """
         ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
                             size=mid_phydyas.cfg.frame_size)
         heff = mid_phydyas.effective_channel(ch, domain)

@@ -312,8 +312,10 @@ class TestSirSample:
                                     sigma2)
             assert sir == metrics._lower_sir_db(delta)
             if heatmaps:
+                # The map travels as its lower triangle, packed by rows.
+                lower = (np.abs(delta) ** 2)[np.tri(len(delta), dtype=bool)]
                 assert np.array_equal(power.view(np.int64),
-                                      (np.abs(delta) ** 2).view(np.int64))
+                                      lower.view(np.int64))
             else:
                 assert power is None
         # With received vectors the sweep also sums each domain's
@@ -339,7 +341,9 @@ class TestSirSample:
     @pytest.mark.parametrize("family", ["hermite", "phydyas"])
     def test_peak_allocation_below_the_filtered_channel(self, family):
         # Preset shape: H_f is 2048 x 512 complex, 16 MiB; a sample
-        # holds one 256 x 512 window of it at a time.
+        # holds one 256 x 512 window of it at a time, in a block of 8 MiB
+        # (Hermite: the Gram, then the window or the affine channel) or
+        # 10 MiB (PHYDYAS: the Gram, the affine channel and the window).
         modem = AfbmModem(design_config(128, 8, 256, 192, family))
         chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
         noise = ((AFFINE, 1e-3), (FILTERED, 1e-3))
@@ -351,7 +355,23 @@ class TestSirSample:
         finally:
             tracemalloc.stop()
         assert filtered_bytes == 16 * 2 ** 20
-        assert peak < filtered_bytes
+        assert peak < 14 * 2 ** 20
+
+    def test_heatmap_pass_peak(self):
+        # The sir-heatmap shape: one sample's block of 8 MiB and, held
+        # across samples, the two domains' accumulators, lower triangles
+        # packed (1 MiB each, against 2 MiB for a square map).
+        modem = AfbmModem(design_config(128, 8, 256, 192, "hermite"))
+        chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
+        tracemalloc.start()
+        try:
+            result = sir_pass(modem, chan, {AFFINE: 0.0, FILTERED: 0.0},
+                              range(2), 20250819, heatmaps=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [m.shape for m in result.heatmaps.values()] == [(512, 512)] * 2
+        assert peak < 16 * 2 ** 20
 
 
 class TestBerTrial:
@@ -370,6 +390,22 @@ class TestBerTrial:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2 ** 20
+
+    def test_through_route_affine_peak(self):
+        # Preset shape: a PHYDYAS affine frame holds its 4 MiB affine
+        # channel and one 2 MiB window during the sweep, then the
+        # channel and its 4 MiB Gram, never all three.
+        modem = AfbmModem(design_config(128, 8, 256, 192, "phydyas"))
+        assert modem._affine_from_filtered
+        chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
+        tracemalloc.start()
+        try:
+            metrics._ber_trial(modem, chan, AFFINE, 20250819, 0, 1e-2, 4,
+                               qam_alphabet(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.7 * 2 ** 20
 
 
 class TestBerCurve:

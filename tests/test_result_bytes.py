@@ -1,0 +1,100 @@
+"""Result bytes pinned: a mid-scale set of experiments hashes as recorded.
+
+Reruns are byte-identical and do not depend on ``--workers``.  This
+recomputes a small set of every experiment kind at 1 and 2 workers and
+compares each CSV's sha256, taken below its stamp line, with the table
+recorded for this package version and BLAS stamp
+(:func:`conftest.blas_stamp`).  Another BLAS build or core may move
+bits at roundoff with no change to the package, so under a stamp with
+no entry the test skips, naming both stamps and the files that differ.
+A change that moves result bytes on purpose bumps the version and
+records a new entry; with none recorded for a version, the test fails
+and prints this run's.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from afbm import __version__
+from afbm.cli import PRESETS, run, write_report
+
+MID = dict(L=64, K=8, N=128, P=(96, 128))
+SPECS = (
+    replace(PRESETS["waveform-sweep"], **MID),
+    replace(PRESETS["channel-stats"], realizations=3, emit_heatmap=True,
+            **MID),
+    replace(PRESETS["ber-curves"], snr_db=(0.0, 10.0, 20.0), trials=10,
+            **MID),
+)
+
+# (version, BLAS stamp) -> {CSV name: sha256 below its stamp line}.
+TABLE = {
+    ("0.7.1", ("libscipy_openblas64_ 0.3.31.188.0 SkylakeX threads=1",
+               "libscipy_openblas 0.3.30 SkylakeX threads=1")): {
+        "ber-35b7971a069f.csv":
+            "b1922fb45fdd84f51eb3eb2d68caff27cd94927b5068a6e9dd7fe7c238a9d9f6",
+        "heatmap-hermite-P128-affine.csv":
+            "9e10dc2d15ad8e0cd1ca310c9c9bdc98077c5fbf7346fb35fd0d630e8f6536a7",
+        "heatmap-hermite-P128-filtered.csv":
+            "e15381087cabe316301029dc5ff2d95d7a52bd7e9a6e7d8fe66f801954d8ef89",
+        "heatmap-hermite-P96-affine.csv":
+            "dc751fb22df18dc4f4b7496c9a1dc7956d84f70bbf6483d8e1f7ebd24c264a0e",
+        "heatmap-hermite-P96-filtered.csv":
+            "d8622852f45935a03b110113e24f08cbc8c06f7082b488734de42363ae57a2e9",
+        "heatmap-phydyas-P128-affine.csv":
+            "8854c2a704c307add264e46248d6517e6072f773e1b89a7b3d0eb01c779f862b",
+        "heatmap-phydyas-P128-filtered.csv":
+            "c8b319cc4856c79c047e22a26bc98fa978492569d7f2ce8422ebe0cc063e075b",
+        "heatmap-phydyas-P96-affine.csv":
+            "c5c0be8daa1860b226e3f3a5e33bccbb3240ec0c16dab6d6fe32fec41995c046",
+        "heatmap-phydyas-P96-filtered.csv":
+            "31f22edcb1b7890f280fd835d13a5c847de11c80cb48a905fab47f07ebf70d71",
+        "sir-channel-792450e9d50f-samples.csv":
+            "1a21fdf4071708f539421d16b226e5ebba0219cf538e638a90bee10a03c09102",
+        "sir-channel-792450e9d50f.csv":
+            "196839a28a0bf70e5cfa1e2cba66bb81a61646741dff6ef96b79fe1e4aa788dd",
+        "sir-waveform-0e85536a7eb0.csv":
+            "283c23d56b5c8c2f8790bc298bd5b8f8f72a6fef778b4736f18cf2e1364284ea",
+    },
+}
+
+
+def result_hashes(workers: int, out_dir: Path) -> dict[str, str]:
+    """Each CSV the set writes at ``workers``, by name: the sha256 of
+    its bytes after the stamp line."""
+    hashes = {}
+    for spec in SPECS:
+        for path in write_report(spec, run(spec, workers=workers),
+                                 str(out_dir / spec.kind)):
+            if path.endswith(".csv"):
+                data = Path(path).read_bytes()
+                hashes[Path(path).name] = hashlib.sha256(
+                    data[data.index(b"\n") + 1:]).hexdigest()
+    return hashes
+
+
+def _differing(want: dict, got: dict) -> list[str]:
+    return sorted(name for name in want.keys() | got.keys()
+                  if want.get(name) != got.get(name))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_result_bytes_match_the_table(workers, blas_stamp, tmp_path):
+    got = result_hashes(workers, tmp_path)
+    want = TABLE.get((__version__, blas_stamp))
+    if want is None:
+        recorded = [stamp for version, stamp in TABLE
+                    if version == __version__]
+        assert recorded, (f"no result bytes recorded for afbm "
+                          f"{__version__}; this run's, under "
+                          f"{(__version__, blas_stamp)}: {got}")
+        differ = _differing(TABLE[__version__, recorded[0]], got)
+        pytest.skip(f"result bytes recorded under BLAS {recorded[0]}, "
+                    f"this run has {blas_stamp}; files that differ: "
+                    f"{differ or 'none'}")
+    differ = _differing(want, got)
+    assert not differ, f"result bytes moved at workers={workers}: {differ}"
+
