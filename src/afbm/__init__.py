@@ -20,8 +20,7 @@ _EXPORTS = {
                 "sample_channel", "trial_stream"),
     "equalize": ("Equalizer", "delta_from_gram", "delta_matrix",
                  "equalize_and_detect", "mmse"),
-    "filters": ("PrototypeFilter", "custom_prototype", "hermite_prototype",
-                "phydyas_prototype"),
+    "filters": ("PrototypeFilter", "hermite_prototype", "phydyas_prototype"),
     "metrics": ("BerPoint", "ConditionedSir", "SirPass", "SirStatistics",
                 "WaveformSir", "ber_curve", "sir_conditioned", "sir_pass",
                 "sir_waveform"),

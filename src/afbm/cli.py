@@ -51,9 +51,9 @@ import yaml
 from . import __version__
 from .channel import ChannelConfig
 from .metrics import ber_curve, sir_pass, sir_waveform
-from .modem import (_DEFAULT_OVERLAP, AFFINE, FILTERED, AfbmModem,
-                    ModulationConfig, _default_prototype, design_config,
-                    qam_alphabet)
+from .filters import _OVERLAP
+from .modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
+                    _design_prototype, design_config, qam_alphabet)
 from .transforms import separability_span
 
 __all__ = [
@@ -338,14 +338,14 @@ def validate(spec: ExperimentSpec) -> list[str]:
     except ValueError as err:
         out.append(str(err))
 
-    # design_config divides by L and P and has defaults for two families
-    # only, so no scenario is designed while either is bad.
+    # A bad L or P, or a family with no design and so no frame size, is
+    # reported alone: no scenario is checked while one is present.
     unbuildable = [f"{name} must be positive, got {value}"
                    for name, value in [("L", spec.L)]
                    + [("P", p) for p in spec.P] if value < 1]
-    unbuildable += [f"filter must be one of {sorted(_DEFAULT_OVERLAP)}, "
+    unbuildable += [f"filter must be one of {sorted(_OVERLAP)}, "
                     f"got {family!r}" for family in spec.filters
-                    if family not in _DEFAULT_OVERLAP]
+                    if family not in _OVERLAP]
     out += unbuildable
     for family, P in [] if unbuildable else spec.scenarios():
         cfg = spec.modulation_config(family, P)
@@ -354,7 +354,7 @@ def validate(spec: ExperimentSpec) -> list[str]:
             # The prototype's own grid limits (PHYDYAS needs N >= 8);
             # designing one costs microseconds.
             try:
-                _default_prototype(cfg)
+                _design_prototype(cfg)
             except ValueError as err:
                 problems.append(str(err))
         for problem in problems:

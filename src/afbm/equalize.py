@@ -13,7 +13,8 @@ per-realization sweep (:func:`afbm.metrics._systems`), which never
 forms the filtered channel.  :func:`delta_from_gram`, for SIR samples,
 reads Delta's lower triangle from one Cholesky inverse of it, with a
 stated relative ridge at zero noise; :func:`mmse_detect`, for BER
-frames, factors it in place and solves for the sweep's right-hand side.
+frames, factors it in place and solves for the sweep's right-hand side,
+returning soft estimates that the QAM demapper slices.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against.
@@ -227,16 +228,18 @@ def equalize_and_detect(eq: Equalizer, received: np.ndarray,
     return _nearest_symbols(eq.matrix @ received, alphabet)
 
 
-def mmse_detect(gram: np.ndarray, rhs: np.ndarray, sigma2: float,
-                alphabet: np.ndarray) -> np.ndarray:
-    """MMSE hard decisions for one received vector r, without forming E.
+def mmse_detect(gram: np.ndarray, rhs: np.ndarray,
+                sigma2: float) -> np.ndarray:
+    """MMSE soft estimates for one received vector r, without forming E.
 
     Solves (Heff^H Heff + sigma2 I) x = Heff^H r from ``gram``, the
     lower triangle of Heff^H Heff in :func:`_gram`'s layout, and
     ``rhs``, Heff^T conj(r) = conj(Heff^H r), as the per-realization
-    sweep (:func:`afbm.metrics._systems`) yields them.  Decisions agree
-    with ``equalize_and_detect(mmse(heff, sigma2), r, alphabet)`` up to
-    roundoff in the soft estimates.
+    sweep (:func:`afbm.metrics._systems`) yields them, and returns x.
+    It agrees with ``mmse(heff, sigma2).matrix @ r`` up to roundoff;
+    :func:`afbm.modem.qam_demap` slices it to the decisions of
+    :func:`equalize_and_detect`, since per-axis rounding is the exact
+    nearest neighbour of a square QAM alphabet.
 
     It owns both, as :func:`delta_from_gram` owns its Gram: the
     writeable complex C-ordered ``gram`` takes sigma2 on its diagonal
@@ -257,4 +260,4 @@ def mmse_detect(gram: np.ndarray, rhs: np.ndarray, sigma2: float,
         raise _rank_deficient(n, sigma2)
     soft, _ = scipy.linalg.lapack.zpotrs(factor, rhs, lower=0,
                                          overwrite_b=1)
-    return _nearest_symbols(soft.conj(), alphabet)
+    return soft.conj()

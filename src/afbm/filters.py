@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "PrototypeFilter",
     "block_toeplitz",
-    "custom_prototype",
     "hermite_prototype",
     "phydyas_prototype",
     "single_symbol_matrix",
@@ -38,6 +37,9 @@ _HERMITE_WEIGHTS = (
 # Frequency-sampling weights of the PHYDYAS overlap-4 prototype.
 _PHYDYAS_WEIGHTS = (0.97195983, np.sqrt(2.0) / 2.0, 0.23514695)
 
+# The overlap, in grid periods, that each family's design fixes.
+_OVERLAP = {"hermite": 1.5, "phydyas": 4.0}
+
 
 @dataclass(frozen=True, eq=False)
 class PrototypeFilter:
@@ -53,13 +55,13 @@ class PrototypeFilter:
     fft_size : int
         Subcarrier grid size N of the bank the filter belongs to.
     family : str
-        One of "hermite", "phydyas", "custom".
+        The design, "hermite" or "phydyas".
     """
 
     taps: np.ndarray
     overlap: float
     fft_size: int
-    family: str = "custom"
+    family: str
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=float)
@@ -96,8 +98,8 @@ def _normalized(taps: np.ndarray) -> np.ndarray:
     return taps / np.linalg.norm(taps)
 
 
-def hermite_prototype(N: int, overlap: float = 1.5) -> PrototypeFilter:
-    """Truncated Gaussian-Hermite prototype.
+def hermite_prototype(N: int) -> PrototypeFilter:
+    """Truncated Gaussian-Hermite prototype with overlap 1.5.
 
     The pulse is a Gaussian multiplied by a short Hermite series whose
     weights cancel the leading self-interference terms of the plain
@@ -108,20 +110,16 @@ def hermite_prototype(N: int, overlap: float = 1.5) -> PrototypeFilter:
     Parameters
     ----------
     N : int
-        Even grid size; the filter has round(1.5 N) taps.
-    overlap : float
-        Only the designed value 1.5 is supported.
+        Even grid size; the filter has 1.5 N taps.
 
     Returns
     -------
     PrototypeFilter
     """
-    if overlap != 1.5:
-        raise ValueError(f"hermite prototype is designed for overlap 1.5, "
-                         f"got {overlap}")
+    if N % 2:
+        raise ValueError(f"N must be even, got N={N}")
+    overlap = _OVERLAP["hermite"]
     n_taps = round(overlap * N)
-    if N % 2 or n_taps != overlap * N:
-        raise ValueError(f"N must be even with overlap*N integer, got N={N}")
     tau = _centered_time(n_taps, N)
     coef = np.zeros(max(_HERMITE_ORDERS) + 1)
     for order, w in zip(_HERMITE_ORDERS, _HERMITE_WEIGHTS):
@@ -131,7 +129,7 @@ def hermite_prototype(N: int, overlap: float = 1.5) -> PrototypeFilter:
     return PrototypeFilter(_normalized(taps), overlap, N, family="hermite")
 
 
-def phydyas_prototype(N: int, overlap: float = 4) -> PrototypeFilter:
+def phydyas_prototype(N: int) -> PrototypeFilter:
     """PHYDYAS frequency-sampling prototype with overlap 4.
 
     Built as a raised sum of three harmonic cosines over the pulse
@@ -143,31 +141,20 @@ def phydyas_prototype(N: int, overlap: float = 4) -> PrototypeFilter:
     ----------
     N : int
         Even grid size, at least 8; the filter has 4N taps.
-    overlap : float
-        Only the designed value 4 is supported.
 
     Returns
     -------
     PrototypeFilter
     """
-    if overlap != 4:
-        raise ValueError(f"phydyas prototype is designed for overlap 4, "
-                         f"got {overlap}")
     if N % 2 or N < 8:
         raise ValueError(f"N must be even and >= 8, got {N}")
-    n_taps = 4 * N
+    overlap = _OVERLAP["phydyas"]
+    n_taps = round(overlap * N)
     tau = _centered_time(n_taps, N)
     taps = np.ones(n_taps)
     for k, w in enumerate(_PHYDYAS_WEIGHTS, start=1):
         taps = taps + 2.0 * w * np.cos(2.0 * np.pi * k * tau / overlap)
-    return PrototypeFilter(_normalized(taps), float(overlap), N,
-                           family="phydyas")
-
-
-def custom_prototype(taps, N: int, overlap: float) -> PrototypeFilter:
-    """Wrap externally designed taps; they are normalized to unit energy."""
-    return PrototypeFilter(_normalized(np.asarray(taps, dtype=float)),
-                           overlap, N, family="custom")
+    return PrototypeFilter(_normalized(taps), overlap, N, family="phydyas")
 
 
 def single_symbol_matrix(f: PrototypeFilter) -> np.ndarray:

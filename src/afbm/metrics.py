@@ -42,7 +42,7 @@ import scipy.linalg.lapack
 from . import channel as _channel
 from .equalize import _gram, _window_gram, delta_from_gram, mmse_detect
 from .modem import AFFINE, FILTERED, AfbmModem, EffectiveChannel, \
-    ModulationConfig, _support_runs, qam_alphabet, qam_demap, qam_map
+    ModulationConfig, _qam_params, _support_runs, qam_demap, qam_map
 
 __all__ = [
     "BerPoint",
@@ -384,10 +384,13 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
 
 # ------------------------------------------------------------------ BER curve
 
+# Frames per BER batch; a point stops early only at a batch boundary.
+_BATCH = 25
+
 
 def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
-               seed: int, index: int, sigma2: float, order: int,
-               alphabet: np.ndarray) -> tuple[int, int]:
+               seed: int, index: int, sigma2: float,
+               order: int) -> tuple[int, int]:
     """One frame: errors and bits.  Draw order: channel, bits, noise."""
     rng, realization = _trial_draw(modem, chan, seed, index)
     bits_per_symbol = int(round(np.log2(order)))
@@ -403,15 +406,15 @@ def _ber_trial(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     received = (modem.matched_demodulate(r) if domain == AFFINE
                 else modem.filtered_receive(r))
     (_, gram, rhs), = _systems(modem, realization, {domain: received})
-    detected = mmse_detect(gram, rhs, branch_noise, alphabet)
-    errors = int(np.sum(qam_demap(detected, order) != bits))
+    soft = mmse_detect(gram, rhs, branch_noise)
+    errors = int(np.sum(qam_demap(soft, order) != bits))
     return errors, n_bits
 
 
 def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
               snr_grid_db, trials: int, seed: int, *,
               min_bit_errors: int = 100, qam_order: int = 4,
-              batch: int = 25, workers: int = 1) -> list[BerPoint]:
+              workers: int = 1) -> list[BerPoint]:
     """Monte-Carlo bit-error rate over an SNR grid.
 
     The per-symbol SNR is 1/sigma2 with the unit-average-energy
@@ -420,11 +423,10 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     each trial regularizes with that variance mapped through the
     receive front end (:meth:`AfbmModem.received_noise_power`), keeping
     the white-noise detector matched in both domains.  Trials run in
-    batches of ``batch`` frames and stop at the first batch boundary
-    where ``min_bit_errors`` errors have accumulated, or at ``trials``
-    frames, whichever comes first; the stopping rule therefore depends
-    only on (seed, trials, batch) and replays bit-exactly at any
-    ``workers``.
+    batches of 25 frames and stop at the first batch boundary where
+    ``min_bit_errors`` errors have accumulated, or at ``trials`` frames,
+    whichever comes first; the stopping rule therefore depends only on
+    (seed, trials) and replays bit-exactly at any ``workers``.
 
     Trial index (snr point p, trial t) keys stream p*trials + t, so
     every point uses channels, payloads and noise that are independent
@@ -432,8 +434,6 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     """
     if trials < 1:
         raise ValueError(f"need at least one trial per point, got {trials}")
-    if batch < 1:
-        raise ValueError(f"need at least one frame per batch, got {batch}")
     if domain not in (AFFINE, FILTERED):
         raise ValueError(f"unknown domain {domain!r}")
     if seed < 0:
@@ -441,17 +441,17 @@ def ber_curve(modem: AfbmModem, chan: _channel.ChannelConfig, domain: str,
     snr_grid_db = [float(snr_db) for snr_db in snr_grid_db]
     if not np.all(np.isfinite(snr_grid_db)):
         raise ValueError(f"SNR values must be finite, got {snr_grid_db}")
-    alphabet = qam_alphabet(qam_order)
+    _qam_params(qam_order)
     points = []
     with _runner(modem, _ber_trial, workers) as run:
         for p_idx, snr_db in enumerate(snr_grid_db):
             sigma2 = 10.0 ** (-snr_db / 10.0)
             errors = bits_total = 0
-            for start in range(0, trials, batch):
+            for start in range(0, trials, _BATCH):
                 for err, nbits in run([
                         (chan, domain, seed, p_idx * trials + t, sigma2,
-                         qam_order, alphabet)
-                        for t in range(start, min(start + batch, trials))]):
+                         qam_order)
+                        for t in range(start, min(start + _BATCH, trials))]):
                     errors += err
                     bits_total += nbits
                 if errors >= min_bit_errors:

@@ -62,8 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as _channel
-from .filters import (PrototypeFilter, block_toeplitz, hermite_prototype,
-                      phydyas_prototype)
+from .filters import (_OVERLAP, PrototypeFilter, block_toeplitz,
+                      hermite_prototype, phydyas_prototype)
 from .transforms import (ChirpParams, daft_matrix, default_c1, default_c2,
                          synthesis_block)
 
@@ -90,8 +90,9 @@ FILTERED = "filtered"
 class ModulationConfig:
     """Grid and transform parameters of one modulation setup.
 
-    Every field is required: :func:`design_config`, which resolves the
-    family's default overlap, is the one place that declares defaults.
+    Every field is required: :func:`design_config` is the one place
+    that declares defaults.  The filter family fixes the prototype and
+    so the overlap (:attr:`overlap`).
 
     Parameters
     ----------
@@ -104,10 +105,8 @@ class ModulationConfig:
         Filter-bank grid size, L < P <= N.
     P : int
         Chirped-transform size between the subcarrier and bank grids.
-    overlap : float
-        Filter overlap factor; 2*overlap must be an integer.
     filter_family : str
-        "hermite", "phydyas" or "custom".
+        "hermite" (overlap 1.5) or "phydyas" (overlap 4).
     f_max : float
         Worst-case Doppler, finite and non-negative.
     xi : int
@@ -120,14 +119,18 @@ class ModulationConfig:
     K: int
     N: int
     P: int
-    overlap: float
     filter_family: str
     f_max: float
     xi: int
 
     def violations(self) -> list[str]:
-        """All violated structural constraints, empty when valid."""
+        """All violated structural constraints, empty when valid.  None
+        reads a derived value, so an unknown family is reported here
+        before :attr:`overlap` or :attr:`frame_size` is read."""
         out = []
+        if self.filter_family not in _OVERLAP:
+            out.append(f"filter family must be one of {sorted(_OVERLAP)}, "
+                       f"got {self.filter_family!r}")
         if not self.L < self.P <= self.N:
             out.append(f"need L < P <= N, got L={self.L} P={self.P} N={self.N}")
         if self.L % 4:
@@ -135,8 +138,6 @@ class ModulationConfig:
         for name in ("L", "N", "P"):
             if getattr(self, name) % 2:
                 out.append(f"{name} must be even, got {getattr(self, name)}")
-        if abs(2 * self.overlap - round(2 * self.overlap)) > 1e-9:
-            out.append(f"2*overlap must be an integer, got {self.overlap}")
         if self.K < 1:
             out.append(f"need K >= 1, got K={self.K}")
         if self.xi < 0:
@@ -144,6 +145,11 @@ class ModulationConfig:
         if not (math.isfinite(self.f_max) and self.f_max >= 0):
             out.append(f"f_max must be finite and >= 0, got {self.f_max}")
         return out
+
+    @property
+    def overlap(self) -> float:
+        """Filter overlap factor in grid periods, fixed by the family."""
+        return _OVERLAP[self.filter_family]
 
     @property
     def c1(self) -> float:
@@ -160,32 +166,21 @@ class ModulationConfig:
         return round(self.overlap * self.N) + (self.K - 1) * self.N // 2
 
 
-_DEFAULT_OVERLAP = {"hermite": 1.5, "phydyas": 4.0}
+_DESIGNS = {"hermite": hermite_prototype, "phydyas": phydyas_prototype}
 
 
-def _default_prototype(cfg: ModulationConfig) -> PrototypeFilter:
+def _design_prototype(cfg: ModulationConfig) -> PrototypeFilter:
     """The family's designed prototype on the configuration's grid."""
-    if cfg.filter_family == "hermite":
-        return hermite_prototype(cfg.N, cfg.overlap)
-    if cfg.filter_family == "phydyas":
-        return phydyas_prototype(cfg.N, cfg.overlap)
-    raise ValueError(f"family {cfg.filter_family!r} needs an explicit "
-                     f"prototype")
+    return _DESIGNS[cfg.filter_family](cfg.N)
 
 
 def design_config(L: int, K: int, N: int, P: int,
-                  filter_family: str = "hermite",
-                  overlap: float | None = None,
-                  f_max: float = 2.0, xi: int = 0) -> ModulationConfig:
-    """A configuration at the family's default overlap; its chirp rates
-    derive from ``f_max`` and ``xi`` (:attr:`ModulationConfig.c1`)."""
-    if overlap is None:
-        try:
-            overlap = _DEFAULT_OVERLAP[filter_family]
-        except KeyError:
-            raise ValueError(f"no default overlap for family "
-                             f"{filter_family!r}; pass overlap explicitly")
-    return ModulationConfig(L, K, N, P, overlap, filter_family, f_max, xi)
+                  filter_family: str = "hermite", f_max: float = 2.0,
+                  xi: int = 0) -> ModulationConfig:
+    """A configuration with the default family, Doppler and guard; its
+    overlap follows the family and its chirp rates derive from ``f_max``
+    and ``xi`` (:attr:`ModulationConfig.c1`)."""
+    return ModulationConfig(L, K, N, P, filter_family, f_max, xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,8 +248,11 @@ class AfbmModem:
     """Precomputed operators of one modulation configuration.
 
     Builds the chirped transforms, the synthesis block, the filter
-    bank and the gain compensation once, then exposes fast per-symbol
-    modulate/demodulate paths along with their dense matrix oracles.
+    bank of the family's designed prototype and the gain compensation
+    once, then exposes fast per-symbol modulate/demodulate paths along
+    with their dense matrix oracles.  A configuration with violations
+    (:meth:`ModulationConfig.violations`), an unknown family among
+    them, is refused with a ValueError before anything is built.
 
     The filter bank inside the modem carries gain sqrt(N/2) on top of
     the unit-energy prototype.  At half-symbol stride the unit bank is
@@ -264,21 +262,16 @@ class AfbmModem:
     detection domains on the same noise scale.
     """
 
-    def __init__(self, cfg: ModulationConfig,
-                 prototype: PrototypeFilter | None = None):
+    def __init__(self, cfg: ModulationConfig):
         problems = cfg.violations()
         if problems:
             raise ValueError("; ".join(problems))
-        if prototype is None:
-            prototype = _default_prototype(cfg)
-        if prototype.fft_size != cfg.N or prototype.overlap != cfg.overlap:
-            raise ValueError("prototype grid does not match configuration")
         self.cfg = cfg
-        self.prototype = prototype
+        self.prototype = _design_prototype(cfg)
         self._bank_gain = np.sqrt(cfg.N / 2)
         # The bank as taps: row r of the single-symbol bank matrix holds
         # taps[r] in column r mod N and nothing else.
-        self._taps = self._bank_gain * prototype.taps
+        self._taps = self._bank_gain * self.prototype.taps
         # Column energies of the bank, one fold of the squared taps.
         self._bank_energy = self._fold(self._taps ** 2)
 
@@ -447,9 +440,23 @@ class AfbmModem:
                 if lo < hi:
                     yield j, lo - w0, hi - w0, offset + lo - a
 
-    def _propagated_pieces(self, c: _channel.ChannelRealization):
-        """Each symbol's transmit block propagated through ``c``, cut at
-        the receive windows.
+    def _block_support(self, twists) -> np.ndarray:
+        """The K x K block support of a channel with these path
+        ``twists``: [j, k] is set when symbol k's propagated strip, its
+        span plus the largest delay and at most the frame, reaches
+        receive window j (:meth:`_reach`)."""
+        K = self.cfg.K
+        length = min(self._taps.size + max(d for d, _ in twists),
+                     self.cfg.frame_size)
+        support = np.zeros((K, K), dtype=bool)
+        for k in range(K):
+            for j, *_ in self._reach(k, length):
+                support[j, k] = True
+        return support
+
+    def _propagated_pieces(self, twists):
+        """Each symbol's transmit block propagated through the paths of
+        ``twists`` (:meth:`_twists`), cut at the receive windows.
 
         Symbol k occupies frame rows [k N/2, k N/2 + span).  A path
         delays that support by d (mod M), so the symbol's response lies
@@ -458,9 +465,9 @@ class AfbmModem:
         than the frame is folded onto itself.
 
         Yields (k, j, lo, hi, piece): ``piece`` is the strip of symbol k
-        on rows [lo, hi) of receive window j, window-relative.
+        on rows [lo, hi) of receive window j, window-relative, for each
+        block [j, k] of :meth:`_block_support`.
         """
-        twists = self._twists(c)
         cfg = self.cfg
         M, h = cfg.frame_size, cfg.N // 2
         span, width = self._tx_block.shape
@@ -524,15 +531,13 @@ class AfbmModem:
         symbol's propagated pieces, projected with the per-symbol
         block's adjoint, into the zeroed KL/2 x KL/2 ``out``.  Returns
         the block support, the blocks a piece reached."""
-        cfg = self.cfg
+        twists = self._twists(c)
         w = self._tx_block.shape[1]
         adjoint = self._tx_block.conj().T
-        support = np.zeros((cfg.K, cfg.K), dtype=bool)
-        for k, j, lo, hi, piece in self._propagated_pieces(c):
+        for k, j, lo, hi, piece in self._propagated_pieces(twists):
             out[j * w:(j + 1) * w, k * w:(k + 1) * w] += \
                 adjoint[:, lo:hi] @ piece
-            support[j, k] = True
-        return support
+        return self._block_support(twists)
 
     def _affine_rows(self, out: np.ndarray, j: int, window: np.ndarray,
                      runs: list[tuple[int, int]]) -> None:
@@ -606,18 +611,14 @@ class AfbmModem:
         twists = self._twists(c)
         cfg = self.cfg
         N, K, M, h = cfg.N, cfg.K, cfg.frame_size, cfg.N // 2
-        span, w = self._tx_block.shape
+        w = self._tx_block.shape[1]
         table = self._weight_table(twists)
         delays = np.array([d for d, _ in twists])
         rolled = (np.arange(N)[:, None, None] - delays[None, :, None]
                   + np.array([0, h])) % N
         dopplers = np.array([path.doppler for path in c.paths])
         phase = np.exp(-2j * np.pi * h * np.arange(K)[:, None] * dopplers / M)
-        support = np.zeros((K, K), dtype=bool)
-        length = min(span + delays.max(), M)
-        for k in range(K):
-            for j, *_ in self._reach(k, length):
-                support[j, k] = True
+        support = self._block_support(twists)
 
         def sweep():
             # 2 x paths rolled copies of C (1.5 MB at 3 paths, N = 256).

@@ -375,6 +375,14 @@ class TestMainAndOutputs:
         assert main(["validate", "--config", cfg]) == 1
         assert "violation" in capsys.readouterr().out
 
+    def test_validate_names_a_family_with_no_design(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, SMALL_SIR.replace("filter: [hermite]",
+                                                     "filter: [custom]"))
+        assert main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr().out == (
+            "violation: filter must be one of ['hermite', 'phydyas'], "
+            "got 'custom'\n")
+
     def test_kind_mismatch_rejected(self, tmp_path):
         cfg = self.write(tmp_path, SMALL_SIR)
         assert main(["ber", "--config", cfg]) == 2

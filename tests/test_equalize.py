@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
                           apply_channel, sample_channel, trial_stream)
-from afbm import equalize, metrics
-from afbm.equalize import (_gram, _solve_spd, delta_from_gram,
-                           delta_matrix, equalize_and_detect, mmse,
-                           mmse_detect)
+from afbm import metrics
+from afbm.equalize import (_gram, _nearest_symbols, _solve_spd,
+                           delta_from_gram, delta_matrix,
+                           equalize_and_detect, mmse, mmse_detect)
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, EffectiveChannel,
-                        design_config, qam_alphabet)
+                        design_config, qam_alphabet, qam_demap)
 
 
 def random_heff(d, rng, domain=AFFINE):
@@ -403,20 +403,6 @@ class TestDetection:
         assert np.array_equal(got, sent)
 
 
-@pytest.fixture
-def soft_estimates(monkeypatch):
-    """The soft estimates every detector slices, in call order."""
-    seen = []
-    nearest = equalize._nearest_symbols
-
-    def recording(soft, alphabet):
-        seen.append(soft.copy())
-        return nearest(soft, alphabet)
-
-    monkeypatch.setattr(equalize, "_nearest_symbols", recording)
-    return seen
-
-
 def zherk_soft_estimates(heff, received, sigma2, rows):
     """mmse_detect's soft estimates as it forms them from one dense
     zherk: the upper triangle of conj(G) conjugated in place into G's,
@@ -459,11 +445,12 @@ class TestMmseDetect:
 
     @classmethod
     def detect_both(cls, modem, seed, domain, sigma2):
-        """Fast and dense-oracle decisions on one simulated frame."""
+        """Bits demapped from the fast soft estimates and from the dense
+        oracle's decisions on one simulated frame."""
         heff, received, gram, rhs, noise, alphabet = cls.frame(
             modem, seed, domain, sigma2)
         want = equalize_and_detect(mmse(heff, noise), received, alphabet)
-        return mmse_detect(gram, rhs, noise, alphabet), want
+        return qam_demap(mmse_detect(gram, rhs, noise)), qam_demap(want)
 
     @given(st.integers(0, 2 ** 16), st.sampled_from([AFFINE, FILTERED]),
            st.sampled_from([1e-4, 1e-2, 0.3]))
@@ -486,35 +473,32 @@ class TestMmseDetect:
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     @pytest.mark.parametrize("seed,sigma2", [(0, 1e-4), (1, 1e-2),
                                              (2, 0.3)])
-    def test_block_support_matches_dense_oracle(self, mid_hermite,
-                                                soft_estimates, seed,
+    def test_block_support_matches_dense_oracle(self, mid_hermite, seed,
                                                 domain, sigma2):
         heff, received, gram, rhs, noise, alphabet = self.frame(
             mid_hermite, seed, domain, sigma2)
         assert not heff.support.all()
         want = equalize_and_detect(mmse(heff, noise), received, alphabet)
-        got = mmse_detect(gram, rhs, noise, alphabet)
-        assert np.array_equal(got, want)
+        got = mmse_detect(gram, rhs, noise)
+        assert np.array_equal(qam_demap(got), qam_demap(want))
         H = heff.matrix
         spd = _solve_spd(H.conj().T @ H, H.conj().T @ received, noise)
-        assert np.abs(soft_estimates[-1] - spd).max() <= \
-            1e-12 * np.abs(spd).max()
+        assert np.abs(got - spd).max() <= 1e-12 * np.abs(spd).max()
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("K", [4, 8])
     def test_full_support_soft_estimates_are_the_zherk_ones(
-            self, mid_phydyas, soft_estimates, K, seed, domain):
+            self, mid_phydyas, K, seed, domain):
         modem = mid_phydyas if K == 8 else \
             AfbmModem(design_config(64, 4, 128, 96, "hermite"))
         heff, received, gram, rhs, noise, alphabet = self.frame(
             modem, seed, domain, 1e-2)
         assert heff.support.all()
-        mmse_detect(gram, rhs, noise, alphabet)
+        got = mmse_detect(gram, rhs, noise)
         rows = modem.cfg.N if domain == FILTERED else received.size
         want = zherk_soft_estimates(heff, received, noise, rows)
-        assert np.array_equal(soft_estimates[-1].view(np.int64),
-                              want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_peak_allocation_below_the_gram(self):
         # The Gram is factored and the right-hand side solved in place:
@@ -525,10 +509,9 @@ class TestMmseDetect:
         received = modem.filtered_receive(
             rng.standard_normal(modem.cfg.frame_size) + 0j)
         (_, gram, rhs), = metrics._systems(modem, ch, {FILTERED: received})
-        alphabet = qam_alphabet(4)
         tracemalloc.start()
         try:
-            mmse_detect(gram, rhs, 1e-2, alphabet)
+            mmse_detect(gram, rhs, 1e-2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -539,36 +522,47 @@ class TestMmseDetect:
         heff = random_heff(20, rng)
         alphabet = qam_alphabet(4)
         sent = alphabet[rng.integers(0, 4, 20)]
-        got = mmse_detect(*normal_equations(heff, heff.matrix @ sent), 0.0,
-                          alphabet)
-        assert np.array_equal(got, sent)
+        got = mmse_detect(*normal_equations(heff, heff.matrix @ sent), 0.0)
+        assert np.array_equal(qam_demap(got), qam_demap(sent))
 
     def test_rectangular_channel_shape(self, rng):
         A = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
         heff = EffectiveChannel(A, FILTERED)
         alphabet = qam_alphabet(4)
         sent = alphabet[rng.integers(0, 4, 5)]
-        got = mmse_detect(*normal_equations(heff, A @ sent), 1e-6, alphabet)
+        got = mmse_detect(*normal_equations(heff, A @ sent), 1e-6)
         assert got.shape == (5,)
+        assert np.array_equal(qam_demap(got), qam_demap(sent))
+
+    def test_qpsk_tie_at_zero_demaps_as_the_oracle_slices(self):
+        # A soft coordinate exactly on the QPSK decision boundary: the
+        # per-axis demapper and the oracle's nearest-symbol slicer (its
+        # first nearest alphabet entry) both take the negative level.
+        sent = np.array([0.0, 0.5j, -0.3, 0.7 + 0.0j, 0.0 - 0.2j, 0.4 + 0.6j])
+        heff = EffectiveChannel(np.eye(6, dtype=complex), FILTERED)
+        got = mmse_detect(*normal_equations(heff, sent), 0.0)
         assert np.array_equal(got, sent)
+        want = equalize_and_detect(mmse(heff, 0.0), sent, qam_alphabet(4))
+        assert np.array_equal(want, _nearest_symbols(sent, qam_alphabet(4)))
+        assert np.array_equal(qam_demap(got), qam_demap(want))
+        assert np.all(qam_demap(got).reshape(-1, 2)[:2, 0] == 0)
 
     @pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), ()])
     def test_rejects_misshaped_rhs(self, shape):
         with pytest.raises(ValueError,
                            match=r"right-hand side must have shape \(5,\)"):
             mmse_detect(np.eye(5, dtype=complex),
-                        np.zeros(shape, dtype=complex), 0.1,
-                        qam_alphabet(4))
+                        np.zeros(shape, dtype=complex), 0.1)
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError, match="noise variance"):
             mmse_detect(np.eye(4, dtype=complex), np.zeros(4, dtype=complex),
-                        -1e-3, qam_alphabet(4))
+                        -1e-3)
 
     def test_singular_gram_named_as_mmse(self):
         with pytest.raises(ValueError, match="^mmse: 4x4 Gram"):
             mmse_detect(np.zeros((4, 4), dtype=complex),
-                        np.zeros(4, dtype=complex), 0.0, qam_alphabet(4))
+                        np.zeros(4, dtype=complex), 0.0)
 
 
 class TestNoiseRefusal:
@@ -587,8 +581,7 @@ class TestNoiseRefusal:
                 _gram(heff.matrix), sigma2),
             "mmse": lambda: mmse(heff, sigma2),
             "mmse_detect": lambda: mmse_detect(
-                *normal_equations(heff, np.zeros(4)), sigma2,
-                qam_alphabet(4)),
+                *normal_equations(heff, np.zeros(4)), sigma2),
             "add_awgn": lambda: add_awgn(np.zeros(4, dtype=complex),
                                          sigma2, rng),
         }[solver]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from afbm.filters import (PrototypeFilter, block_toeplitz, custom_prototype,
-                          hermite_prototype, phydyas_prototype,
-                          single_symbol_matrix)
+from afbm.filters import (PrototypeFilter, block_toeplitz, hermite_prototype,
+                          phydyas_prototype, single_symbol_matrix)
 
 
 class TestHermitePrototype:
@@ -52,21 +51,11 @@ class TestPhydyasPrototype:
             phydyas_prototype(4)
 
 
-class TestCustomPrototype:
-
-    def test_normalizes(self, rng):
-        raw = rng.standard_normal(32) + 5
-        f = custom_prototype(raw, 16, 2.0)
-        assert np.linalg.norm(f.taps) == pytest.approx(1.0)
-        assert f.family == "custom"
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            custom_prototype(np.ones(30), 16, 2.0)
+class TestPrototypeFilter:
 
     def test_rejects_half_integer_block_count(self):
         with pytest.raises(ValueError):
-            PrototypeFilter(np.ones(20) / np.sqrt(20), 1.25, 16, "custom")
+            PrototypeFilter(np.ones(20) / np.sqrt(20), 1.25, 16, "hermite")
 
 
 class TestSingleSymbolMatrix:

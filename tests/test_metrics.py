@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from afbm import metrics
 from afbm.channel import ChannelConfig, sample_channel, trial_stream
 from afbm.equalize import _gram, delta_from_gram, delta_matrix, mmse
-from afbm.filters import custom_prototype
 from afbm.metrics import (BerPoint, ber_curve, sir_conditioned, sir_pass,
                           sir_waveform)
-from afbm.modem import (AFFINE, FILTERED, AfbmModem, design_config,
-                        qam_alphabet)
+from afbm.modem import AFFINE, FILTERED, AfbmModem, design_config
 
 
 @pytest.fixture(scope="module")
@@ -56,20 +54,6 @@ class TestWaveformSir:
     def test_hermite_tops_phydyas(self, mid_hermite, mid_phydyas):
         assert (sir_waveform(mid_hermite).value_db
                 > sir_waveform(mid_phydyas).value_db)
-
-    def test_rectangular_non_overlapping_is_orthogonal(self):
-        taps = np.ones(16)
-        cfg = design_config(8, 1, 16, 16, "custom", overlap=1.0)
-        modem = AfbmModem(cfg, prototype=custom_prototype(taps, 16, 1.0))
-        got = sir_waveform(modem)
-        assert got.orthogonal
-        assert np.isinf(got.value_db)
-
-    def test_overlap_breaks_exact_orthogonality(self):
-        taps = np.ones(16)
-        cfg = design_config(8, 2, 16, 16, "custom", overlap=1.0)
-        modem = AfbmModem(cfg, prototype=custom_prototype(taps, 16, 1.0))
-        assert not sir_waveform(modem).orthogonal
 
 
 class TestConditionedSir:
@@ -384,8 +368,7 @@ class TestBerTrial:
         chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
         tracemalloc.start()
         try:
-            metrics._ber_trial(modem, chan, FILTERED, 20250819, 0, 1e-2, 4,
-                               qam_alphabet(4))
+            metrics._ber_trial(modem, chan, FILTERED, 20250819, 0, 1e-2, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -400,8 +383,7 @@ class TestBerTrial:
         chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
         tracemalloc.start()
         try:
-            metrics._ber_trial(modem, chan, AFFINE, 20250819, 0, 1e-2, 4,
-                               qam_alphabet(4))
+            metrics._ber_trial(modem, chan, AFFINE, 20250819, 0, 1e-2, 4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -428,42 +410,42 @@ class TestBerCurve:
     def test_error_floor_stops_early(self, small_modem):
         # at very low SNR the error budget fills inside the first batch
         pts = ber_curve(small_modem, SMALL_CHANNEL, AFFINE, [-10.0], 200, 3,
-                        min_bit_errors=30, batch=5)
+                        min_bit_errors=30)
         assert pts[0].bit_errors >= 30
-        assert pts[0].bits_total < 200 * 64
+        assert pts[0].bits_total == metrics._BATCH * 32
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("domain,counts", [
-        (AFFINE, [(53, 320), (29, 640)]),
-        (FILTERED, [(54, 320), (11, 640)]),
+        (AFFINE, [(134, 800), (23, 1600)]),
+        (FILTERED, [(116, 800), (10, 1600)]),
     ])
     def test_counts_are_pinned(self, small_modem, domain, counts, workers):
-        # Recorded before the in-place detection path: the 2 dB point
-        # stops after two batches of 5 frames, the 12 dB point runs all 20.
-        pts = ber_curve(small_modem, SMALL_CHANNEL, domain, [2.0, 12.0], 20,
-                        7, min_bit_errors=40, batch=5, workers=workers)
+        # Recorded with batches of 25 frames, 32 bits each: the 2 dB
+        # point stops after its first batch, the 12 dB point runs all 50.
+        assert metrics._BATCH == 25
+        pts = ber_curve(small_modem, SMALL_CHANNEL, domain, [2.0, 12.0], 50,
+                        7, min_bit_errors=100, workers=workers)
         assert [(p.bit_errors, p.bits_total) for p in pts] == counts
 
     def test_worker_count_does_not_change_results(self, small_modem):
-        kw = dict(min_bit_errors=8, batch=4)
+        kw = dict(min_bit_errors=8)
         a = ber_curve(small_modem, SMALL_CHANNEL, FILTERED, [6.0], 8, 2,
                       workers=1, **kw)
         b = ber_curve(small_modem, SMALL_CHANNEL, FILTERED, [6.0], 8, 2,
                       workers=2, **kw)
         assert a == b
 
-    @pytest.mark.parametrize("domain,snr,trials,batch,reason", [
-        (AFFINE, [6.0], 0, 25, "at least one trial"),
-        (AFFINE, [6.0], 4, 0, "at least one frame per batch"),
-        (AFFINE, [6.0], 4, -2, "at least one frame per batch"),
-        ("delay", [6.0], 4, 25, "unknown domain 'delay'"),
-        (FILTERED, [6.0, float("nan")], 4, 25, "SNR values must be finite"),
-        (FILTERED, [float("-inf")], 4, 25, "SNR values must be finite")])
+    @pytest.mark.parametrize("domain,snr,trials,order,reason", [
+        (AFFINE, [6.0], 0, 4, "at least one trial"),
+        ("delay", [6.0], 4, 4, "unknown domain 'delay'"),
+        (FILTERED, [6.0, float("nan")], 4, 4, "SNR values must be finite"),
+        (FILTERED, [float("-inf")], 4, 4, "SNR values must be finite"),
+        (AFFINE, [6.0], 4, 8, "order must be an even power of 2")])
     def test_rejects_bad_arguments(self, toy_modem, domain, snr, trials,
-                                   batch, reason):
+                                   order, reason):
         with pytest.raises(ValueError, match=reason):
             ber_curve(toy_modem, SMALL_CHANNEL, domain, snr, trials, 5,
-                      batch=batch)
+                      qam_order=order)
 
     def test_rejects_negative_seed(self, toy_modem):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

@@ -45,6 +45,17 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             AfbmModem(bad)
 
+    def test_unknown_family_refused_by_name_before_any_build(self):
+        # The family fixes the prototype and its overlap, so a family
+        # with no design has neither and is refused up front.
+        cfg = design_config(8, 1, 16, 16, "custom")
+        want = ("filter family must be one of ['hermite', 'phydyas'], "
+                "got 'custom'")
+        assert cfg.violations() == [want]
+        with pytest.raises(ValueError) as refused:
+            AfbmModem(cfg)
+        assert str(refused.value) == want
+
     @pytest.mark.parametrize("f_max", [-0.5, float("nan"), float("inf")])
     def test_f_max_must_be_finite_and_non_negative(self, f_max):
         # The pre-chirp rate derives from f_max, so a bad one is refused
@@ -406,6 +417,25 @@ class TestFilteredKernel:
         # propagated pieces.
         assert np.array_equal(
             heff.support, direct.effective_channel_affine(ch).support)
+
+    @pytest.mark.parametrize("family", ["hermite", "phydyas"])
+    def test_both_routes_take_the_support_the_pieces_reach(
+            self, kernel_twins, family):
+        # The kernel and the direct projection mark the same blocks: the
+        # ones a propagated piece of the direct route lands in.
+        through, direct = kernel_twins("mid", family, 8)
+        cfg = through.cfg
+        window = np.empty((cfg.N, cfg.payload_size), dtype=complex)
+        out = np.zeros((cfg.payload_size,) * 2, dtype=complex)
+        for index, delay_max in enumerate((4, 16, cfg.N // 2, cfg.N)):
+            ch = sample_channel(3, delay_max, 2.0, trial_stream(6, index),
+                                size=cfg.frame_size)
+            reached = np.zeros((cfg.K, cfg.K), dtype=bool)
+            for k, j, *_ in direct._propagated_pieces(direct._twists(ch)):
+                reached[j, k] = True
+            support, _ = through._filtered_windows(ch, [window] * cfg.K)
+            assert np.array_equal(support, reached)
+            assert np.array_equal(direct._project_affine(ch, out), reached)
 
     @pytest.mark.parametrize("scale", ["toy", "mid"])
     def test_support_grows_with_the_delay(self, kernel_twins, scale):
