@@ -2,9 +2,11 @@
 
 Monte-Carlo runs parallelize over worker processes (``--workers``), so
 each process keeps BLAS to one thread unless the environment already
-sets a count.  BLAS reads these variables once, when numpy first loads
-it, so they are set here, before :mod:`afbm.cli` imports numpy; the
-package's ``__init__`` imports nothing heavy for the same reason.
+sets a count.  BLAS reads these variables once, when its library loads,
+so they are set here, before :mod:`afbm.cli` imports numpy (numpy's
+OpenBLAS) and :mod:`afbm.equalize` loads scipy's BLAS/LAPACK modules
+(scipy's own OpenBLAS); the package's ``__init__`` imports nothing
+heavy for the same reason.
 """
 
 import os

@@ -18,16 +18,25 @@ returning soft estimates that the QAM demapper slices.
 :func:`mmse` builds the dense equalizer E, which with
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against.
+
+The fast paths call scipy's BLAS and LAPACK kernels through its two
+compiled modules, ``_fblas`` and ``_flapack``, which
+:func:`_scipy_extension` loads straight from scipy's install directory:
+importing the ``scipy.linalg`` package would add its array-API layer
+(``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) to every process's
+start-up time and peak memory, for code none of them runs.  Only the
+oracle's :func:`_solve_spd` imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.blas
-import scipy.linalg.lapack
+import scipy
 
 from .modem import EffectiveChannel, _support_runs
 
@@ -39,6 +48,29 @@ __all__ = [
     "mmse",
     "mmse_detect",
 ]
+
+
+def _scipy_extension(name: str):
+    """scipy's compiled module ``scipy.linalg.<name>``, loaded from its
+    install directory without running ``scipy.linalg``'s ``__init__``.
+
+    The full dotted name keys CPython's cache of single-phase extension
+    modules, so the kernels are the very objects ``scipy.linalg.blas``
+    and ``scipy.linalg.lapack`` export, whichever is imported first.
+    """
+    directory = os.path.join(scipy.__path__[0], "linalg")
+    fullname = f"scipy.linalg.{name}"
+    spec = importlib.machinery.PathFinder.find_spec(fullname, [directory])
+    if spec is None:
+        raise ImportError(f"{fullname} not found in {directory}",
+                          name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas = _scipy_extension("_fblas")
+_flapack = _scipy_extension("_flapack")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +91,8 @@ def _add_herk(out: np.ndarray, a: np.ndarray) -> None:
     a^H a, into the upper triangle of ``out.T``, which is ``out``'s
     lower one: no n x n temporary is made.
     """
-    scipy.linalg.blas.zherk(1.0, a.T, beta=1.0, c=out.T, trans=0, lower=0,
-                            overwrite_c=1)
+    _fblas.zherk(1.0, a.T, beta=1.0, c=out.T, trans=0, lower=0,
+                 overwrite_c=1)
 
 
 def _window_gram(out: np.ndarray, window: np.ndarray,
@@ -79,7 +111,7 @@ def _window_gram(out: np.ndarray, window: np.ndarray,
         return
     for i, (a, b) in enumerate(runs):
         run = window[:, a * w:b * w]
-        out[a * w:b * w, a * w:b * w] += scipy.linalg.blas.zherk(
+        out[a * w:b * w, a * w:b * w] += _fblas.zherk(
             1.0, run.T, trans=0, lower=0).T
         for c, d in runs[:i]:
             out[a * w:b * w, c * w:d * w] += \
@@ -125,7 +157,12 @@ def _rank_deficient(n: int, sigma2: float) -> ValueError:
 
 def _solve_spd(gram: np.ndarray, rhs: np.ndarray,
                sigma2: float) -> np.ndarray:
-    """Solve (gram + sigma2 I) X = rhs through a Hermitian factorization."""
+    """Solve (gram + sigma2 I) X = rhs through a Hermitian factorization.
+
+    The oracle alone uses ``scipy.linalg``, so only its callers import it.
+    """
+    import scipy.linalg
+
     n = gram.shape[0]
     reg = gram + sigma2 * np.eye(n)
     try:
@@ -196,11 +233,9 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     # The Fortran view of the C-ordered G + r I is its conjugate; its
     # upper triangle is the lower one, which ends up holding the
     # inverse's.
-    factor, info = scipy.linalg.lapack.zpotrf(gram.T, lower=0, clean=0,
-                                              overwrite_a=1)
+    factor, info = _flapack.zpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
     if info == 0:
-        inverse, info = scipy.linalg.lapack.zpotri(factor, lower=0,
-                                                   overwrite_c=1)
+        inverse, info = _flapack.zpotri(factor, lower=0, overwrite_c=1)
     if info != 0:
         raise ValueError(
             f"delta_from_gram: {n}x{n} Gram matrix plus r={r:g} is not "
@@ -254,10 +289,8 @@ def mmse_detect(gram: np.ndarray, rhs: np.ndarray,
         raise ValueError(f"right-hand side must have shape ({n},), "
                          f"got {rhs.shape}")
     gram[np.diag_indices(n)] += sigma2
-    factor, info = scipy.linalg.lapack.zpotrf(gram.T, lower=0, clean=0,
-                                              overwrite_a=1)
+    factor, info = _flapack.zpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
     if info != 0:
         raise _rank_deficient(n, sigma2)
-    soft, _ = scipy.linalg.lapack.zpotrs(factor, rhs, lower=0,
-                                         overwrite_b=1)
+    soft, _ = _flapack.zpotrs(factor, rhs, lower=0, overwrite_b=1)
     return soft.conj()

@@ -31,16 +31,15 @@ once per pass.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg.lapack
 
 from . import channel as _channel
-from .equalize import _gram, _window_gram, delta_from_gram, mmse_detect
+from .equalize import _flapack, _gram, _window_gram, delta_from_gram, \
+    mmse_detect
 from .modem import AFFINE, FILTERED, AfbmModem, EffectiveChannel, \
     ModulationConfig, _qam_params, _support_runs, qam_demap, qam_map
 
@@ -142,7 +141,7 @@ def _lower_sir_db(delta: np.ndarray) -> float:
     triangle's Frobenius norm in place, so the interference, twice its
     square, is summed without a copy or a mirror.
     """
-    lower = scipy.linalg.lapack.zlantr("F", delta[1:].T, uplo="U")
+    lower = _flapack.zlantr("F", delta[1:].T, uplo="U")
     return _sir_db(float(np.sum(np.abs(np.diag(delta)) ** 2)),
                    2.0 * lower ** 2)
 
@@ -275,6 +274,8 @@ def _runner(modem: AfbmModem, work, workers: int):
     if workers <= 1:
         yield lambda tasks: (work(modem, *task) for task in tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(modem.cfg, work)) as pool:
         yield lambda tasks: pool.map(_pool_task, tasks)

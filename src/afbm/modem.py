@@ -131,6 +131,8 @@ class ModulationConfig:
         if self.filter_family not in _OVERLAP:
             out.append(f"filter family must be one of {sorted(_OVERLAP)}, "
                        f"got {self.filter_family!r}")
+        if self.L < 4:
+            out.append(f"need L >= 4, got L={self.L}")
         if not self.L < self.P <= self.N:
             out.append(f"need L < P <= N, got L={self.L} P={self.P} N={self.N}")
         if self.L % 4:

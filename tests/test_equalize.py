@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from afbm.channel import (ChannelRealization, PathSpec, add_awgn,
                           apply_channel, sample_channel, trial_stream)
-from afbm import metrics
+from afbm import equalize, metrics
 from afbm.equalize import (_gram, _nearest_symbols, _solve_spd,
                            delta_from_gram, delta_matrix,
                            equalize_and_detect, mmse, mmse_detect)
@@ -174,15 +174,16 @@ class TestDeltaFromInverse:
 
     @pytest.fixture
     def factorizations(self, monkeypatch):
-        """Shapes of the matrices handed to zpotrf."""
+        """Shapes of the matrices handed to zpotrf, counted on the LAPACK
+        module delta_from_gram calls through."""
         calls = []
-        factor = scipy.linalg.lapack.zpotrf
+        factor = equalize._flapack.zpotrf
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
             return factor(a, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "zpotrf", counting)
+        monkeypatch.setattr(equalize._flapack, "zpotrf", counting)
         return calls
 
     @pytest.mark.parametrize("gram", [

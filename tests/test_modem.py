@@ -45,6 +45,17 @@ class TestDesignConfig:
         with pytest.raises(ValueError):
             AfbmModem(bad)
 
+    @pytest.mark.parametrize("L,K,N,P", [(-4, 2, 16, 12), (0, 2, 16, 12),
+                                         (-8, 2, 0, -4)])
+    def test_non_positive_L_refused_by_name(self, L, K, N, P):
+        # L < P <= N holds for each, so only the L >= 4 bound names the
+        # field before the build would fail inside the prototype design.
+        cfg = design_config(L, K, N, P)
+        want = f"need L >= 4, got L={L}"
+        assert cfg.violations() == [want]
+        with pytest.raises(ValueError, match=want):
+            AfbmModem(cfg)
+
     def test_unknown_family_refused_by_name_before_any_build(self):
         # The family fixes the prototype and its overlap, so a family
         # with no design has neither and is refused up front.
