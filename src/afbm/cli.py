@@ -20,9 +20,11 @@ Each config key is declared once, as an :class:`ExperimentSpec` field
 with its YAML section and type; only ``sigma2``, a number or a
 per-domain mapping, is read by hand.
 
-Outputs land in the chosen directory as ``<kind>-<hash>.csv`` plus a
-human-readable ``summary.txt``; the hash is a digest of the canonical
-spec serialization, so identical experiments land on identical names.
+Outputs land in the chosen directory as ``<kind>-<hash>.csv``, with
+the samples and heatmap CSVs of a ``sir-channel`` run under the same
+prefix, plus a human-readable ``summary.txt``; the hash is a digest of
+the canonical spec serialization, so identical experiments land on
+identical names.
 Nothing is written when validation fails, and :func:`validate` refuses
 a bad spec (non-finite noise or SNR values, a negative seed, options
 the kind ignores, ...) before any compute; :func:`main` likewise
@@ -140,8 +142,9 @@ class ExperimentReport:
     header: tuple[str, ...]
     samples: tuple[tuple, ...] = ()
     samples_header: tuple[str, ...] = ()
-    # ((filter, P, domain), mean |Delta|^2 array) per scenario and domain
-    # of a sir-channel run with emit_heatmap.
+    # ((filter, P, domain), mean |Delta|^2) per scenario and domain of a
+    # sir-channel run with emit_heatmap, each map its lower triangle
+    # packed by rows (:class:`afbm.metrics.SirPass`).
     heatmaps: tuple = field(default=(), compare=False)
 
 
@@ -403,14 +406,14 @@ def _run_sir_channel(spec: ExperimentSpec, workers: int):
         result = sir_pass(
             AfbmModem(spec.modulation_config(family, P)), chan,
             {d: spec.sigma2_for(d) for d in spec.domains},
-            range(spec.realizations), spec.seed, averaging=spec.averaging,
+            spec.realizations, spec.seed, averaging=spec.averaging,
             heatmaps=spec.emit_heatmap, workers=workers)
         for domain, stats in result.statistics.items():
             for metric, value in (
                     ("average_db", stats.average_db),
                     ("maximum_db", stats.maximum_db),
                     ("minimum_db", stats.minimum_db),
-                    ("realizations", stats.realizations),
+                    ("realizations", len(stats.samples_db)),
                     ("sigma2", spec.sigma2_for(domain))):
                 rows.append((family, P, domain, metric, value))
             samples.extend(
@@ -509,73 +512,106 @@ def _write_csv(path: str, report_header: str, header, rows):
             fh.write(",".join(_num(v) for v in row) + "\n")
 
 
-def _heatmap_rows(power: np.ndarray):
-    """The CSV text of each row of the square map ``power``, one at a
-    time, formatted from its upper triangle alone.
+def _heatmap_rows(packed: np.ndarray):
+    """The CSV text of each row of the symmetric map whose lower
+    triangle, row by row, is ``packed``, one row at a time.
 
-    Each cell is ``repr`` of its value.  ``power`` is float64 and its
-    bits equal its transpose's (:func:`_write_heatmaps` refuses any
-    other map), so row i formats ``power[i, i:]`` and takes each cell
-    left of the diagonal from the text already made for its mirror,
-    since equal bits give equal text.  Those pending texts stay one
-    string per row, read by a cursor.  Rows are formatted as ``repr``
-    of their list, whose items never contain ``", "``, then split.
+    Each cell is ``repr`` of its value.  Each packed row, the cells
+    (i, 0..i), is formatted once, up front, as ``repr`` of its list,
+    whose items never contain ``", "``.  CSV row i is that text split,
+    then each cell (i, j) right of the diagonal, the mirror of (j, i),
+    taken from row j's text: a per-row cursor steps through it, one cell
+    per CSV row, and always finds a comma, since cell i < j is not
+    row j's last.
     """
-    template = "".join(f"@,{j},%s\n" for j in range(power.shape[1]))
-    texts, cursors = [], []
-    for i, row in enumerate(power):
-        text = repr(row[i:].tolist())[1:-1]
-        cells = []
-        for j, above in enumerate(texts):
-            start = cursors[j]
-            end = above.find(",", start)
-            if end < 0:
-                end = len(above)
+    n = _side(len(packed))
+    template = "".join(f"@,{j},%s\n" for j in range(n))
+    texts = [repr(packed[i * (i + 1) // 2:][:i + 1].tolist())[1:-1]
+             for i in range(n)]
+    cursors = [0] * n
+    for i in range(n):
+        cells = texts[i].split(", ")
+        for j in range(i + 1, n):
+            above, start = texts[j], cursors[j]
+            end = above.index(",", start)
             cells.append(above[start:end])
             cursors[j] = end + 2
-        upper = text.split(", ")
-        texts.append(text)
-        cursors.append(len(upper[0]) + 2)
-        yield template.replace("@", str(i)) % tuple(cells + upper)
+        yield template.replace("@", str(i)) % tuple(cells)
+
+
+def _side(size: int) -> int:
+    """The n with n(n+1)/2 = ``size``, the side of a packed triangle of
+    ``size`` values, or -1 when there is none."""
+    n = math.isqrt(2 * size)
+    return n if n * (n + 1) // 2 == size else -1
 
 
 def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
-    """One CSV per map in ``report.heatmaps``, formatted a row at a time.
+    """One CSV per map in ``report.heatmaps``, formatted a row at a time,
+    named ``<kind>-<hash>-heatmap-<filter>-P<P>-<domain>.csv``.
 
-    Each cell is written as ``repr`` of its float, the same text
-    :func:`_num` gives.  The maps :func:`afbm.metrics.sir_pass` makes
-    are float64 and symmetric bit for bit, so each is formatted from
-    its upper triangle and every mirrored pair is formatted once
-    (:func:`_heatmap_rows`).  Any other map is refused with a
-    ValueError naming it, before its file is opened.
+    Each map is the lower triangle of a symmetric n x n map packed by
+    rows, as :func:`afbm.metrics.sir_pass` returns it; the file holds
+    all n^2 cells, each written as ``repr`` of its float, the same text
+    :func:`_num` gives, and each mirrored pair formatted once
+    (:func:`_heatmap_rows`).  A map that is not a 1-D float64 array of
+    triangular length is refused with a ValueError naming it, before
+    its file is opened.
     """
     written = []
-    for (family, P, domain), power in report.heatmaps:
-        name = f"heatmap-{family}-P{P}-{domain}"
-        if not (power.dtype == np.float64 and power.ndim == 2
-                and power.shape[0] == power.shape[1]
-                and np.array_equal(power.view(np.int64),
-                                   power.T.view(np.int64))):
+    for (family, P, domain), packed in report.heatmaps:
+        name = (f"{report.kind}-{report.fingerprint}-heatmap-{family}-P{P}"
+                f"-{domain}")
+        if not (packed.dtype == np.float64 and packed.ndim == 1
+                and _side(len(packed)) >= 0):
             raise ValueError(
-                f"{name}: a heatmap must be a square float64 map equal to "
-                f"its transpose bit for bit, got {power.dtype} "
-                f"{power.shape}")
+                f"{name}: a heatmap must be a packed lower triangle, a 1-D "
+                f"float64 array of n(n+1)/2 values, got {packed.dtype} "
+                f"{packed.shape}")
         path = os.path.join(out_dir, f"{name}.csv")
         with _atomic_open(path) as fh:
             fh.write(stamp)
             fh.write("row,col,power\n")
-            for text in _heatmap_rows(power):
+            for text in _heatmap_rows(packed):
                 fh.write(text)
         written.append(path)
     return written
+
+
+def _silent_counts(spec: ExperimentSpec, report: ExperimentReport):
+    """The summary's lines on what the CSVs leave silent: a title, then
+    per ``sir-channel`` scenario and domain its +inf samples out of all,
+    or per BER point its frames used out of ``trials`` and whether it
+    stopped early; none for other kinds."""
+    if report.kind == "sir-channel":
+        counts = {}
+        for family, P, domain, _, sir_db in report.samples:
+            inf, total = counts.get((family, P, domain), (0, 0))
+            counts[family, P, domain] = (inf + (sir_db == math.inf),
+                                         total + 1)
+        return ["+inf SIR samples:"] + [
+            f"  {family}/P={P}/{domain}: {inf} of {total}"
+            for (family, P, domain), (inf, total) in counts.items()]
+    if report.kind == "ber":
+        bits = spec.K * spec.L // 2 * (spec.qam_order.bit_length() - 1)
+        lines = ["BER frames used:"]
+        for family, P, domain, snr_db, _, bits_total, _ in report.rows:
+            frames = bits_total // bits
+            lines.append(
+                f"  {family}/P={P}/{domain} at {snr_db!r} dB: {frames} of "
+                f"{spec.trials} frames"
+                + (", stopped early" if frames < spec.trials else ""))
+        return lines
+    return []
 
 
 def write_report(spec: ExperimentSpec, report: ExperimentReport,
                  out_dir: str) -> list[str]:
     """Write the CSV artifacts and summary; returns the paths written.
 
-    Everything written comes from ``report``; ``spec`` is accepted for
-    callers that pass it.
+    The CSVs come from ``report`` alone.  ``summary.txt`` adds what they
+    leave silent (:func:`_silent_counts`), reading the frame size and
+    trial budget of a BER run from ``spec``.
     """
     os.makedirs(out_dir, exist_ok=True)
     stamp = (f"# afbm {report.version} spec={report.fingerprint}\n")
@@ -605,6 +641,9 @@ def write_report(spec: ExperimentSpec, report: ExperimentReport,
             fh.write("  ".join(
                 (f"{v:.4f}" if isinstance(v, float) else str(v)).ljust(w)
                 for v, w in zip(row, widths)) + "\n")
+        silent = _silent_counts(spec, report)
+        if silent:
+            fh.write("\n" + "".join(f"{line}\n" for line in silent))
     written.append(summary_path)
 
     written.extend(_write_heatmaps(report, out_dir, stamp))

@@ -23,9 +23,10 @@ and fold the results in task order, whatever the number of workers.
 The conditioned SIR is sum|Delta_ii|^2 / sum_{i!=j}|Delta_ij|^2.  The
 pass reads it from the lower triangle that
 :func:`afbm.equalize.delta_from_gram` returns, the interference summed
-directly as twice the strict lower triangle's power; the |Delta|^2
-triangles travel and are summed packed, and their mean is mirrored
-once per pass.
+directly as twice the strict lower triangle's power.  |Delta|^2 is
+symmetric, so a heatmap is its lower triangle packed by rows,
+n(n+1)/2 values: each realization's map travels and is summed packed,
+and the mean stays packed for the writer.
 :func:`sir_conditioned` reads a dense Delta, for the oracle.
 """
 
@@ -73,13 +74,12 @@ class ConditionedSir:
 
 @dataclass(frozen=True)
 class SirStatistics:
-    """Aggregate SIR over independently drawn channel realizations."""
+    """Aggregate SIR over independently drawn channel realizations, one
+    sample per realization in index order."""
 
     average_db: float
     maximum_db: float
     minimum_db: float
-    realizations: int
-    averaging: str
     samples_db: tuple[float, ...]
 
 
@@ -152,8 +152,8 @@ def _domain_gram(heff, out: np.ndarray | None = None) -> np.ndarray:
 
 def _domain_sample(gram: np.ndarray, sigma2: float, heatmaps: bool) -> tuple:
     """The SIR in dB and, when ``heatmaps`` is set, |Delta|^2's lower
-    triangle packed by rows (see :func:`_mirrored`): each row's part
-    goes through ``abs`` into it, then it is squared in place."""
+    triangle packed by rows: each row's part goes through ``abs`` into
+    it, then it is squared in place."""
     delta = delta_from_gram(gram, sigma2)
     power = None
     if heatmaps:
@@ -291,19 +291,8 @@ def _statistics(samples_db: list[float], averaging: str) -> SirStatistics:
         average_db=float(average),
         maximum_db=float(np.max(samples)),
         minimum_db=float(np.min(samples)),
-        realizations=len(samples),
-        averaging=averaging,
         samples_db=tuple(float(s) for s in samples),
     )
-
-
-def _mirrored(packed: np.ndarray, n: int) -> np.ndarray:
-    """The symmetric n x n map whose lower triangle, row by row, is
-    ``packed``, unpacked through one boolean mask, not index arrays."""
-    lower = np.tri(n, dtype=bool)
-    power = np.empty((n, n))
-    power[lower] = power.T[lower] = packed
-    return power
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,6 +301,10 @@ class SirPass:
 
     ``heatmaps`` maps each domain to the mean |Delta|^2 over the pass's
     realizations, and is empty unless the pass was asked for them.
+    |Delta|^2 is symmetric, so each mean is its lower triangle packed by
+    rows: a float64 vector of n(n+1)/2 values, row i's entries (i, 0..i)
+    at offset i(i+1)/2.  ``np.tri(n, dtype=bool)`` masks the n x n
+    square it unpacks into, with its transpose for the upper half.
     """
 
     statistics: dict[str, SirStatistics]
@@ -319,23 +312,23 @@ class SirPass:
 
 
 def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
-             sigma2: dict[str, float], indices, seed: int, *,
+             sigma2: dict[str, float], realizations: int, seed: int, *,
              averaging: str = "linear", heatmaps: bool = False,
              workers: int = 1) -> SirPass:
     """Conditioned SIR statistics, and optionally heatmaps, of every
     domain in ``sigma2`` (domain -> operating noise power) from one
-    pass over ``indices``.
+    pass over realization indices 0 .. ``realizations`` - 1.
 
     Each index draws its channel once from the stream keyed by
     (seed, index), and each domain's Delta is computed once and feeds
     both its SIR sample and its |Delta|^2.  Results are folded in index
-    order (``acc + power`` in place, then ``/ count``), whether they
-    come from this process or from ``workers`` pool processes, so the
-    output is reproducible bit-exactly and does not depend on
-    ``workers``.  Each |Delta|^2 travels and is summed as its lower
-    triangle packed by rows, half a square map's bytes: memory is one
-    such accumulator per domain, not one Delta per realization, and
-    each mean is mirrored once (:func:`_mirrored`).
+    order (``acc + power`` in place, then ``/ realizations`` in place),
+    whether they come from this process or from ``workers`` pool
+    processes, so the output is reproducible bit-exactly and does not
+    depend on ``workers``.  Each |Delta|^2 travels and is summed as its
+    lower triangle packed by rows, half a square map's bytes, and the
+    mean is returned in that layout (:class:`SirPass`): memory is one
+    such accumulator per domain, not one Delta per realization.
 
     A noise power of zero selects the zero-forcing reading, which
     always applies the relative ridge of
@@ -346,12 +339,9 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     which matches how published tables are usually aggregated.
     Extremes are reported in dB either way.
     """
-    indices = list(indices)
-    if not indices:
-        raise ValueError("need at least one realization, got 0")
-    if min(indices) < 0:
-        raise ValueError(f"realization indices must be >= 0, "
-                         f"got {min(indices)}")
+    if realizations < 1:
+        raise ValueError(f"need at least one realization, "
+                         f"got {realizations}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if not sigma2:
@@ -371,16 +361,18 @@ def sir_pass(modem: AfbmModem, chan: _channel.ChannelConfig,
     acc = {d: np.zeros(n * (n + 1) // 2) for d in sigma2} if heatmaps else {}
     with _runner(modem, _sir_sample, workers) as run:
         for per_domain in run([(chan, seed, i, noise, heatmaps)
-                               for i in indices]):
+                               for i in range(realizations)]):
             for domain, (sir, power) in zip(sigma2, per_domain):
                 samples[domain].append(sir)
                 if heatmaps:
                     np.add(acc[domain], power, out=acc[domain])
             # Free this index's maps before the next index is computed.
             del per_domain, power
+    for mean in acc.values():
+        mean /= realizations
     return SirPass(
         statistics={d: _statistics(s, averaging) for d, s in samples.items()},
-        heatmaps={d: _mirrored(a / len(indices), n) for d, a in acc.items()})
+        heatmaps=acc)
 
 
 # ------------------------------------------------------------------ BER curve

@@ -220,9 +220,9 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
         failures.append("waveform-vs-conditioned identity consistency")
 
     chan = ChannelConfig(2, 4, 0.5)
-    first = sir_pass(small, chan, {AFFINE: 0.01}, range(6), 77,
+    first = sir_pass(small, chan, {AFFINE: 0.01}, 6, 77,
                      averaging="db").statistics[AFFINE]
-    second = sir_pass(small, chan, {AFFINE: 0.01}, range(6), 77,
+    second = sir_pass(small, chan, {AFFINE: 0.01}, 6, 77,
                       averaging="db").statistics[AFFINE]
     if first.samples_db != second.samples_db or \
             first.average_db != second.average_db:

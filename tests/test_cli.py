@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afbm import cli
+from afbm import __version__, cli
 from afbm.cli import (PRESETS, ExperimentReport, main, parse_spec, run,
                       serialize_spec, spec_fingerprint, validate,
                       write_report)
@@ -554,7 +554,7 @@ class TestMainAndOutputs:
                                 if not p.endswith("summary.txt")}
         names = sorted(written[1])
         assert names == sorted(written[2])
-        assert len([n for n in names if n.startswith("heatmap-")]) == 2
+        assert len([n for n in names if "-heatmap-" in n]) == 2
         assert any(n.endswith("-samples.csv") for n in names)
         for name in names:
             assert written[1][name] == written[2][name], name
@@ -566,11 +566,75 @@ class TestMainAndOutputs:
         spec = parse_spec(text)
         report = run(spec, workers=1)
         paths = write_report(spec, report, str(tmp_path / "h"))
-        import os
-        maps = [p for p in paths if os.path.basename(p).startswith("heatmap")]
-        assert len(maps) == 2
+        maps = [p for p in paths if "-heatmap-" in os.path.basename(p)]
+        assert [os.path.basename(p) for p in maps] == [
+            f"sir-channel-{report.fingerprint}-heatmap-hermite-P48-{d}.csv"
+            for d in ("affine", "filtered")]
         header = open(maps[0]).read().splitlines()[1]
         assert header == "row,col,power"
+
+    def test_heatmaps_of_two_experiments_share_a_directory(self, tmp_path):
+        # Two experiments that differ only in their seed, written to one
+        # directory, keep every heatmap, each stamped with its own hash.
+        text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
+            .replace("realizations: 3", "realizations: 1") \
+            + "emit_heatmap: true\n"
+        specs = [parse_spec(text), parse_spec(text.replace("seed: 11",
+                                                           "seed: 12"))]
+        maps = {}
+        for spec in specs:
+            fingerprint = spec_fingerprint(spec)
+            for path in write_report(spec, run(spec, workers=1),
+                                     str(tmp_path)):
+                if "-heatmap-" in path:
+                    maps[path] = f"# afbm {__version__} spec={fingerprint}"
+        assert len(maps) == 4
+        assert len(set(maps.values())) == 2
+        assert sorted(n for n in os.listdir(tmp_path) if "-heatmap-" in n) \
+            == sorted(os.path.basename(p) for p in maps)
+        for path, stamp in maps.items():
+            assert open(path).readline().rstrip("\n") == stamp
+
+    def test_summary_counts_infinite_samples(self, tmp_path):
+        # At sigma2 = 0 every filtered sample reads +inf, which the CSV's
+        # average_db row shows only as +inf.
+        text = SMALL_SIR.replace(
+            "sigma2: {affine: 3.0e-3, filtered: 3.0e-4}", "sigma2: 0")
+        spec = parse_spec(text)
+        report = run(spec, workers=1)
+        filtered = [s for s in report.samples if s[2] == "filtered"]
+        assert filtered and all(s[4] == float("inf") for s in filtered)
+        write_report(spec, report, str(tmp_path))
+        summary = (tmp_path / "summary.txt").read_text()
+        lines = summary.split("\n+inf SIR samples:\n")[1].splitlines()
+        want = []
+        for P in (48, 64):
+            for domain in ("affine", "filtered"):
+                inf = sum(s[4] == float("inf") for s in report.samples
+                          if s[1:3] == (P, domain))
+                want.append(f"  hermite/P={P}/{domain}: {inf} of 3")
+        assert lines == want
+        assert "  hermite/P=48/filtered: 3 of 3" in lines
+
+    def test_summary_counts_ber_frames(self, tmp_path):
+        # Of 60 trials, run in batches of 25 frames, the -10 dB points
+        # reach 300 errors in their first batch and the 30 dB points
+        # use the whole budget.
+        text = SMALL_BER.replace("snr_db: [6, 12]", "snr_db: [-10, 30]") \
+            .replace("trials: 6", "trials: 60") \
+            .replace("min_bit_errors: 10", "min_bit_errors: 300")
+        spec = parse_spec(text)
+        report = run(spec, workers=1)
+        write_report(spec, report, str(tmp_path))
+        summary = (tmp_path / "summary.txt").read_text()
+        lines = summary.split("\nBER frames used:\n")[1].splitlines()
+        bits = 4 * 32 // 2 * 2
+        assert [row[5] // bits for row in report.rows] == [25, 60, 25, 60]
+        assert lines == [
+            f"  hermite/P=48/{domain} at {snr!r} dB: {frames} of 60 frames"
+            + (", stopped early" if frames < 60 else "")
+            for domain in ("affine", "filtered")
+            for snr, frames in ((-10.0, 25), (30.0, 60))]
 
 
 class _Unprintable:
@@ -652,10 +716,11 @@ class TestAtomicWrites:
         report = run(spec, workers=1)
         [(_, power)] = report.heatmaps
         rows = cli._heatmap_rows
+        side = cli._side(power.size)
 
         def failing_halfway(power):
             for i, text in enumerate(rows(power)):
-                if i == power.shape[0] // 2:
+                if i == side // 2:
                     raise RuntimeError("write failed partway")
                 yield text
 
@@ -664,54 +729,58 @@ class TestAtomicWrites:
         with pytest.raises(RuntimeError, match="partway"):
             write_report(spec, report, str(out))
         names = self.listing(out)
-        assert not [n for n in names if n.startswith("heatmap")]
+        assert not [n for n in names if "-heatmap-" in n]
         assert not [n for n in names if n.endswith(".tmp")]
 
 
-def _per_cell_heatmap(path, stamp, power):
-    """The heatmap writer before it formatted a row at a time."""
+def _per_cell_heatmap(path, stamp, packed):
+    """The heatmap writer before it formatted a row at a time, reading
+    cell (i, j) of the symmetric map from the packed lower triangle."""
+    n = cli._side(len(packed))
     with open(path, "w") as fh:
         fh.write(stamp)
         fh.write("row,col,power\n")
-        for i in range(power.shape[0]):
-            for j in range(power.shape[1]):
-                fh.write(f"{i},{j},{cli._num(power[i, j])}\n")
+        for i in range(n):
+            for j in range(n):
+                lo, hi = min(i, j), max(i, j)
+                cell = packed[hi * (hi + 1) // 2 + lo]
+                fh.write(f"{i},{j},{cli._num(cell)}\n")
 
 
-def _symmetric_map(n, seed, specials=()):
-    """A bitwise-symmetric map; ``specials`` fill row 0 from the diagonal
-    on and are mirrored down column 0."""
+def _packed_map(n, seed, specials=()):
+    """A random packed lower triangle of side n; ``specials`` fill its
+    column 0 from the diagonal down, so they are mirrored along row 0."""
     rng = np.random.default_rng(seed)
-    power = rng.random((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
-    power[0, :len(specials)] = specials
-    return np.where(np.tri(n, k=-1, dtype=bool), power.T, power)
+    size = n * (n + 1) // 2
+    packed = rng.random(size) * 10.0 ** rng.integers(-300, 300, size)
+    packed[[j * (j + 1) // 2 for j in range(len(specials))]] = specials
+    return packed
 
 
 def _edge_maps():
     """Maps the writer formats, and maps it refuses: those that are not
-    float64, not square, or not equal to their transpose bit for bit."""
+    1-D, float64 or of a triangular length."""
     tiny = np.finfo(float).tiny
     specials = [0.0, 5e-324, tiny / 3, tiny, 1e-300, 1.0 / 3.0,
                 9999999999999998.0, 1e16, 1.2345678901234567e16,
                 np.finfo(float).max]
-    mirrored = _symmetric_map(12, 5, specials)
-    signed_zero = mirrored.copy()
-    signed_zero[3, 7], signed_zero[7, 3] = -0.0, 0.0
+    mirrored = _packed_map(12, 5, specials)
+    signed = mirrored.copy()
+    signed[7 * 8 // 2 + 3] = -0.0
     nan = mirrored.copy()
-    nan[4, 4] = nan[2, 9] = nan[9, 2] = np.nan
-    payload = nan.copy()
-    payload[9, 2] = -np.nan
+    nan[4 * 5 // 2 + 4] = nan[9 * 10 // 2 + 2] = np.nan
+    nan[11 * 12 // 2 + 5] = -np.nan
     formatted = {"mirrored-specials": mirrored,
+                 "signed-zero": signed,
                  "nan-mirrored": nan,
-                 "one-by-one": np.array([[0.1 + 0.2]]),
-                 "empty": np.zeros((0, 0))}
-    refused = {"signed-zero-pair": signed_zero,
-               "nan-payloads-differ": payload,
+                 "one-by-one": np.array([0.1 + 0.2]),
+                 "empty": np.zeros(0)}
+    refused = {"square": np.eye(3),
                "no-columns": np.zeros((3, 0)),
-               "wide": _symmetric_map(6, 9)[:4],
-               "one-row": np.zeros(4),
-               "float32": np.eye(3, dtype=np.float32),
-               "objects": np.eye(3).astype(object)}
+               "scalar": np.float64(1.0).reshape(()),
+               "not-triangular": np.zeros(4),
+               "float32": np.ones(3, dtype=np.float32),
+               "objects": np.ones(3).astype(object)}
     return formatted, refused
 
 
@@ -720,6 +789,8 @@ _EDGE_MAPS, _REFUSED_MAPS = _edge_maps()
 
 class TestHeatmapWriter:
 
+    NAME = "ber-0123456789ab-heatmap-hermite-P48-affine.csv"
+
     def test_rows_match_the_per_cell_writer(self, tmp_path):
         tiny = np.finfo(float).tiny
         values = [0.0, 5e-324, tiny / 3, np.nextafter(tiny, 0), tiny,
@@ -727,52 +798,81 @@ class TestHeatmapWriter:
                   np.nextafter(1.0, 2.0), 123456.78901234567, 1e16,
                   1.2345678901234567e16, 2.0 ** 60, 9.999999999999998e22,
                   1e300, np.finfo(float).max]
-        power = _symmetric_map(len(values) + 3, 3, values)
+        packed = _packed_map(len(values) + 3, 3, values)
         report = replace(TestAtomicWrites().report(),
-                         heatmaps=((("hermite", 48, "affine"), power),))
+                         heatmaps=((("hermite", 48, "affine"), packed),))
         stamp = "# afbm test spec=0123456789ab\n"
         [path] = cli._write_heatmaps(report, str(tmp_path), stamp)
-        _per_cell_heatmap(tmp_path / "per-cell.csv", stamp, power)
+        _per_cell_heatmap(tmp_path / "per-cell.csv", stamp, packed)
         got = open(path, "rb").read()
         assert got == (tmp_path / "per-cell.csv").read_bytes()
-        assert os.path.basename(path) == "heatmap-hermite-P48-affine.csv"
-        assert got.count(b"\n") == 2 + power.size
+        assert os.path.basename(path) == self.NAME
+        assert got.count(b"\n") == 2 + (len(values) + 3) ** 2
 
     @staticmethod
-    def assert_matches_per_cell(out_dir, power):
+    def assert_matches_per_cell(out_dir, packed):
         report = replace(TestAtomicWrites().report(),
-                         heatmaps=((("hermite", 48, "affine"), power),))
+                         heatmaps=((("hermite", 48, "affine"), packed),))
         stamp = "# afbm test spec=0123456789ab\n"
         [path] = cli._write_heatmaps(report, str(out_dir), stamp)
         want = os.path.join(out_dir, "per-cell.csv")
-        _per_cell_heatmap(want, stamp, power)
+        _per_cell_heatmap(want, stamp, packed)
         assert open(path, "rb").read() == open(want, "rb").read()
 
     @pytest.mark.parametrize("name", sorted(_EDGE_MAPS))
-    def test_symmetric_and_edge_maps_match_the_per_cell_writer(
-            self, tmp_path, name):
+    def test_edge_maps_match_the_per_cell_writer(self, tmp_path, name):
         self.assert_matches_per_cell(tmp_path, _EDGE_MAPS[name])
 
     @pytest.mark.parametrize("name", sorted(_REFUSED_MAPS))
-    def test_refuses_a_map_that_is_not_bitwise_symmetric_float64(
+    def test_refuses_a_map_that_is_not_a_packed_float64_triangle(
             self, tmp_path, name):
         report = replace(TestAtomicWrites().report(), heatmaps=(
             (("hermite", 48, "affine"), _EDGE_MAPS["one-by-one"]),
             (("phydyas", 64, "filtered"), _REFUSED_MAPS[name])))
-        with pytest.raises(ValueError,
-                           match="^heatmap-phydyas-P64-filtered: "):
+        with pytest.raises(
+                ValueError,
+                match="^ber-0123456789ab-heatmap-phydyas-P64-filtered: "):
             cli._write_heatmaps(report, str(tmp_path), "# stamp\n")
-        assert os.listdir(tmp_path) == ["heatmap-hermite-P48-affine.csv"]
+        assert os.listdir(tmp_path) == [self.NAME]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pass_maps_are_written_symmetric(self, tmp_path, workers):
+        # The maps a sir-channel run makes, at either worker count: each
+        # file equals the per-cell writer's, and cell (i, j) reads as
+        # cell (j, i).
+        text = SMALL_SIR.replace("P: [48, 64]", "P: [48]") \
+            + "emit_heatmap: true\n"
+        spec = parse_spec(text)
+        report = run(spec, workers=workers)
+        paths = cli._write_heatmaps(report, str(tmp_path), "# stamp\n")
+        assert len(paths) == len(report.heatmaps) == 2
+        for path, (_, packed) in zip(paths, report.heatmaps):
+            _per_cell_heatmap(tmp_path / "per-cell.csv", "# stamp\n", packed)
+            got = open(path).read()
+            assert got == (tmp_path / "per-cell.csv").read_text()
+            cells = {}
+            for line in got.splitlines()[2:]:
+                i, j, value = line.split(",")
+                cells[int(i), int(j)] = value
+            n = spec.K * spec.L // 2
+            assert len(cells) == n * n
+            assert all(cells[i, j] == cells[j, i] for i, j in cells)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 512])
+    def test_side_of_a_packed_triangle(self, n):
+        size = n * (n + 1) // 2
+        assert cli._side(size) == n
+        assert cli._side(size + 1) == (-1 if n > 0 else 1)
 
     @given(st.integers(1, 24), st.integers(0, 2 ** 16),
            st.lists(st.floats(allow_nan=True, allow_infinity=True,
                               allow_subnormal=True), max_size=8))
     @settings(max_examples=40, deadline=None)
-    def test_random_symmetric_maps_match_the_per_cell_writer(self, n, seed,
-                                                             specials):
+    def test_random_packed_maps_match_the_per_cell_writer(self, n, seed,
+                                                          specials):
         with tempfile.TemporaryDirectory() as out:
             self.assert_matches_per_cell(
-                out, _symmetric_map(n, seed, specials[:n]))
+                out, _packed_map(n, seed, specials[:n]))
 
 
 class TestWorkersDefault:

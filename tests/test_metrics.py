@@ -1,6 +1,9 @@
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,7 +91,7 @@ class TestPassSampleAgainstOracle:
         M = modem.cfg.frame_size
         chan = ChannelConfig(n_paths=3, delay_max=min(16, M - 1),
                              doppler_max=2.0)
-        got = sir_pass(modem, chan, {domain: sigma2}, [0],
+        got = sir_pass(modem, chan, {domain: sigma2}, 1,
                        seed).statistics[domain].samples_db[0]
         heff = modem.effective_channel(sample_channel(
             3, chan.delay_max, 2.0, trial_stream(seed, 0), size=M), domain)
@@ -121,52 +124,51 @@ class TestSirStatistics:
 
     def test_replay_is_bit_exact(self, small_modem):
         kw = dict(averaging="linear", workers=1)
-        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(6),
+        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 6,
                      303, **kw).statistics[AFFINE]
-        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(6),
+        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 6,
                      303, **kw).statistics[AFFINE]
         assert a == b
 
     def test_seed_changes_samples(self, small_modem):
-        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(4),
+        a = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 4,
                      1).statistics[AFFINE]
-        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(4),
+        b = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 4,
                      2).statistics[AFFINE]
         assert a.samples_db != b.samples_db
 
     def test_extremes_bracket_average(self, small_modem):
-        st = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-4}, range(8),
+        st = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-4}, 8,
                       99).statistics[FILTERED]
         assert st.minimum_db <= st.average_db <= st.maximum_db
-        assert st.realizations == len(st.samples_db) == 8
+        assert len(st.samples_db) == 8
 
     def test_db_averaging_sits_below_linear(self, small_modem):
-        lin = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(10),
+        lin = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 10,
                        7, averaging="linear").statistics[AFFINE]
-        db = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, range(10),
+        db = sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 10,
                       7, averaging="db").statistics[AFFINE]
         assert db.samples_db == lin.samples_db
         assert db.average_db < lin.average_db
 
     def test_worker_count_does_not_change_results(self, small_modem):
         kw = dict(averaging="db")
-        a = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
+        a = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, 6,
                      17, workers=1, **kw).statistics[FILTERED]
-        b = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(6),
+        b = sir_pass(small_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, 6,
                      17, workers=2, **kw).statistics[FILTERED]
         assert a == b
 
     def test_rejects_unknown_averaging(self, small_modem):
         with pytest.raises(ValueError):
-            sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 0.0}, range(2), 0,
+            sir_pass(small_modem, SMALL_CHANNEL, {AFFINE: 0.0}, 2, 0,
                      averaging="median")
 
 
 def two_pass_maps(modem, chan, sigma2, n, seed):
     """The heatmap as a second pass computed it: every Delta redrawn per
-    domain, its |Delta|^2 summed in index order and divided by the
-    count, and the lower triangle of the mean, which is the map's,
-    copied onto the upper one."""
+    domain, its square |Delta|^2 summed in index order and divided by
+    the count, and the lower triangle of the mean packed by rows."""
     out = {}
     for domain, s2 in sigma2.items():
         acc = None
@@ -179,7 +181,7 @@ def two_pass_maps(modem, chan, sigma2, n, seed):
                 _gram(heff.matrix, heff.support), s2)) ** 2
             acc = power if acc is None else acc + power
         mean = acc / n
-        out[domain] = np.where(np.tri(len(mean), dtype=bool), mean, mean.T)
+        out[domain] = mean[np.tri(len(mean), dtype=bool)]
     return out
 
 
@@ -198,70 +200,100 @@ class TestSirPass:
                                                 toy_modem, mid_phydyas):
         modem, chan = ((toy_modem, SMALL_CHANNEL) if scale == "toy"
                        else (mid_phydyas, MID_CHANNEL))
-        got = sir_pass(modem, chan, sigma2, range(self.N_DRAWS), 41,
+        got = sir_pass(modem, chan, sigma2, self.N_DRAWS, 41,
                        heatmaps=True)
         want = two_pass_maps(modem, chan, sigma2, self.N_DRAWS, 41)
         assert list(got.heatmaps) == [AFFINE, FILTERED]
         for domain in sigma2:
             assert np.array_equal(got.heatmaps[domain], want[domain])
             alone = sir_pass(modem, chan, {domain: sigma2[domain]},
-                             range(self.N_DRAWS), 41)
+                             self.N_DRAWS, 41)
             assert got.statistics[domain] == alone.statistics[domain]
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("sigma2", [
-        {AFFINE: 1e-3, FILTERED: 1e-4}, {AFFINE: 0.0, FILTERED: 0.0}])
-    @pytest.mark.parametrize("scale", ["toy", "mid"])
-    def test_heatmaps_are_bitwise_symmetric(self, scale, sigma2, workers,
-                                            toy_modem, mid_phydyas):
-        # The heatmap writer formats only the upper triangle of a map
-        # whose bits equal its transpose's.
-        modem, chan = ((toy_modem, SMALL_CHANNEL) if scale == "toy"
-                       else (mid_phydyas, MID_CHANNEL))
-        got = sir_pass(modem, chan, sigma2, range(self.N_DRAWS), 7,
-                       heatmaps=True, workers=workers)
-        for domain in sigma2:
-            bits = got.heatmaps[domain].view(np.int64)
-            assert np.array_equal(bits, bits.T)
 
     def test_worker_count_does_not_change_heatmaps(self, toy_modem):
         sigma2 = {AFFINE: 1e-3, FILTERED: 0.0}
-        a = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, range(self.N_DRAWS),
+        a = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, self.N_DRAWS,
                      5, heatmaps=True, workers=1)
-        b = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, range(self.N_DRAWS),
+        b = sir_pass(toy_modem, SMALL_CHANNEL, sigma2, self.N_DRAWS,
                      5, heatmaps=True, workers=2)
         assert a.statistics == b.statistics
         for domain in sigma2:
             assert np.array_equal(a.heatmaps[domain], b.heatmaps[domain])
 
     def test_no_heatmaps_unless_asked(self, toy_modem):
-        got = sir_pass(toy_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, range(3),
+        got = sir_pass(toy_modem, SMALL_CHANNEL, {FILTERED: 1e-3}, 3,
                        5)
         assert got.heatmaps == {}
         assert list(got.statistics) == [FILTERED]
 
-    @pytest.mark.parametrize("sigma2,indices,reason", [
-        ({AFFINE: 0.0}, [], "at least one realization"),
-        ({}, [0], "at least one domain"),
-        ({"delay": 0.1}, [0], "unknown domain 'delay'"),
-        ({AFFINE: 0.0, FILTERED: -1e-3}, [0], "'filtered' must be finite"),
-        ({AFFINE: float("nan")}, [0], "'affine' must be finite"),
-        ({FILTERED: float("inf")}, [0], "'filtered' must be finite"),
-        ({AFFINE: 0.0}, [0, -1, 1], "indices must be >= 0, got -1")])
-    def test_rejects_bad_arguments(self, toy_modem, sigma2, indices,
+    @pytest.mark.parametrize("sigma2,realizations,reason", [
+        ({AFFINE: 0.0}, 0, "at least one realization, got 0"),
+        ({AFFINE: 0.0}, -2, "at least one realization, got -2"),
+        ({}, 1, "at least one domain"),
+        ({"delay": 0.1}, 1, "unknown domain 'delay'"),
+        ({AFFINE: 0.0, FILTERED: -1e-3}, 1, "'filtered' must be finite"),
+        ({AFFINE: float("nan")}, 1, "'affine' must be finite"),
+        ({FILTERED: float("inf")}, 1, "'filtered' must be finite")])
+    def test_rejects_bad_arguments(self, toy_modem, sigma2, realizations,
                                    reason):
         with pytest.raises(ValueError, match=reason):
-            sir_pass(toy_modem, SMALL_CHANNEL, sigma2, indices, 5)
+            sir_pass(toy_modem, SMALL_CHANNEL, sigma2, realizations, 5)
 
     def test_rejects_negative_seed(self, toy_modem):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-            sir_pass(toy_modem, SMALL_CHANNEL, {AFFINE: 0.0}, [0], -1)
+            sir_pass(toy_modem, SMALL_CHANNEL, {AFFINE: 0.0}, 1, -1)
 
     def test_failing_pool_leaves_no_worker(self, toy_modem, monkeypatch):
         monkeypatch.setattr(metrics, "_sir_sample", _failing_task)
         assert_fails_in_a_worker(lambda: sir_pass(
-            toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, [0, 1, 2], 5,
+            toy_modem, SMALL_CHANNEL, {AFFINE: 1e-3}, 3, 5,
             workers=2))
+
+
+# Run in a fresh interpreter under the start method in argv[1]: a SIR
+# pass with heatmaps and a BER curve at one worker and at two, then
+# prints the start method the pool used and the results that differ.
+START_METHOD_RUN = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from afbm.channel import ChannelConfig
+from afbm.metrics import ber_curve, sir_pass
+from afbm.modem import AFFINE, FILTERED, AfbmModem, design_config
+
+modem = AfbmModem(design_config(8, 2, 16, 12, "hermite"))
+chan = ChannelConfig(n_paths=2, delay_max=4, doppler_max=0.5)
+
+def results(workers):
+    got = sir_pass(modem, chan, {AFFINE: 1e-3, FILTERED: 0.0}, 10, 5,
+                   heatmaps=True, workers=workers)
+    return {"statistics": got.statistics,
+            "heatmaps": {d: m.tobytes() for d, m in got.heatmaps.items()},
+            "ber": ber_curve(modem, chan, FILTERED, [2.0, 12.0], 30, 7,
+                             min_bit_errors=20, workers=workers)}
+
+one, two = results(1), results(2)
+print(multiprocessing.get_start_method(),
+      sorted(k for k in one if one[k] != two[k]))
+"""
+
+
+class TestStartMethods:
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pool_results_equal_one_worker(self, method):
+        # Python 3.14 makes forkserver the default on Linux; a spawned
+        # or forkserver worker rebuilds the modem from its configuration
+        # alone.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        src = str(Path(metrics.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", START_METHOD_RUN, method], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{method} []\n", done.stderr
 
 
 class TestSirSample:
@@ -344,17 +376,19 @@ class TestSirSample:
     def test_heatmap_pass_peak(self):
         # The sir-heatmap shape: one sample's block of 8 MiB and, held
         # across samples, the two domains' accumulators, lower triangles
-        # packed (1 MiB each, against 2 MiB for a square map).
+        # packed (1 MiB each, against 2 MiB for a square map), which the
+        # pass returns as the means.
         modem = AfbmModem(design_config(128, 8, 256, 192, "hermite"))
         chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
         tracemalloc.start()
         try:
             result = sir_pass(modem, chan, {AFFINE: 0.0, FILTERED: 0.0},
-                              range(2), 20250819, heatmaps=True)
+                              2, 20250819, heatmaps=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert [m.shape for m in result.heatmaps.values()] == [(512, 512)] * 2
+        assert [m.shape for m in result.heatmaps.values()] == \
+            [(512 * 513 // 2,)] * 2
         assert peak < 16 * 2 ** 20
 
 

@@ -36,21 +36,21 @@ TABLE = {
                "libscipy_openblas 0.3.30 SkylakeX threads=1")): {
         "ber-35b7971a069f.csv":
             "b1922fb45fdd84f51eb3eb2d68caff27cd94927b5068a6e9dd7fe7c238a9d9f6",
-        "heatmap-hermite-P128-affine.csv":
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-affine.csv":
             "9e10dc2d15ad8e0cd1ca310c9c9bdc98077c5fbf7346fb35fd0d630e8f6536a7",
-        "heatmap-hermite-P128-filtered.csv":
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-filtered.csv":
             "e15381087cabe316301029dc5ff2d95d7a52bd7e9a6e7d8fe66f801954d8ef89",
-        "heatmap-hermite-P96-affine.csv":
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-affine.csv":
             "dc751fb22df18dc4f4b7496c9a1dc7956d84f70bbf6483d8e1f7ebd24c264a0e",
-        "heatmap-hermite-P96-filtered.csv":
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-filtered.csv":
             "d8622852f45935a03b110113e24f08cbc8c06f7082b488734de42363ae57a2e9",
-        "heatmap-phydyas-P128-affine.csv":
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-affine.csv":
             "8854c2a704c307add264e46248d6517e6072f773e1b89a7b3d0eb01c779f862b",
-        "heatmap-phydyas-P128-filtered.csv":
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-filtered.csv":
             "c8b319cc4856c79c047e22a26bc98fa978492569d7f2ce8422ebe0cc063e075b",
-        "heatmap-phydyas-P96-affine.csv":
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-affine.csv":
             "c5c0be8daa1860b226e3f3a5e33bccbb3240ec0c16dab6d6fe32fec41995c046",
-        "heatmap-phydyas-P96-filtered.csv":
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-filtered.csv":
             "31f22edcb1b7890f280fd835d13a5c847de11c80cb48a905fab47f07ebf70d71",
         "sir-channel-792450e9d50f-samples.csv":
             "1a21fdf4071708f539421d16b226e5ebba0219cf538e638a90bee10a03c09102",
