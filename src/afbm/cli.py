@@ -48,11 +48,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .channel import ChannelConfig
-from .metrics import ber_curve, sir_pass, sir_waveform
+from .metrics import _average_db, ber_curve, sir_pass, sir_waveform
 from .filters import _OVERLAP
 from .modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                     _design_prototype, design_config, qam_alphabet)
@@ -220,12 +219,18 @@ def _spec_from_dict(doc: dict) -> ExperimentSpec:
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    """Canonical YAML for hashing and round-tripping."""
+    """Canonical YAML for round-tripping.  PyYAML is imported here and in
+    :func:`parse_spec` only, so a run that reads no config never loads
+    it."""
+    import yaml
+
     return yaml.safe_dump(_spec_to_dict(spec), sort_keys=True,
                           default_flow_style=False)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as err:
@@ -581,17 +586,26 @@ def _write_heatmaps(report: ExperimentReport, out_dir: str, stamp: str):
 def _silent_counts(spec: ExperimentSpec, report: ExperimentReport):
     """The summary's lines on what the CSVs leave silent: a title, then
     per ``sir-channel`` scenario and domain its +inf samples out of all,
-    or per BER point its frames used out of ``trials`` and whether it
+    its finite samples and their average under the spec's
+    ``averaging`` (the CSV's ``average_db`` is +inf once one sample
+    is); per BER point its frames used out of ``trials`` and whether it
     stopped early; none for other kinds."""
     if report.kind == "sir-channel":
-        counts = {}
+        samples = {}
         for family, P, domain, _, sir_db in report.samples:
-            inf, total = counts.get((family, P, domain), (0, 0))
-            counts[family, P, domain] = (inf + (sir_db == math.inf),
-                                         total + 1)
-        return ["+inf SIR samples:"] + [
-            f"  {family}/P={P}/{domain}: {inf} of {total}"
-            for (family, P, domain), (inf, total) in counts.items()]
+            samples.setdefault((family, P, domain), []).append(sir_db)
+        lines = [f"+inf SIR samples, and the finite ones' "
+                 f"{spec.averaging} average:"]
+        for (family, P, domain), values in samples.items():
+            finite = [v for v in values if math.isfinite(v)]
+            line = (f"  {family}/P={P}/{domain}: "
+                    f"{values.count(math.inf)} of {len(values)} +inf; "
+                    f"{len(finite)} finite")
+            if finite:
+                average = _average_db(np.array(finite), spec.averaging)
+                line += f", average {average:.4f} dB"
+            lines.append(line)
+        return lines
     if report.kind == "ber":
         bits = spec.K * spec.L // 2 * (spec.qam_order.bit_length() - 1)
         lines = ["BER frames used:"]

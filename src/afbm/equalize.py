@@ -22,7 +22,8 @@ fast paths are checked against.
 The fast paths call scipy's BLAS and LAPACK kernels through its two
 compiled modules, ``_fblas`` and ``_flapack``, which
 :func:`_scipy_extension` loads straight from scipy's install directory:
-importing the ``scipy.linalg`` package would add its array-API layer
+importing the packages would add scipy's ``__init__`` (``subprocess``,
+``sysconfig``, Cython helpers) and ``scipy.linalg``'s array-API layer
 (``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) to every process's
 start-up time and peak memory, for code none of them runs.  Only the
 oracle's :func:`_solve_spd` imports ``scipy.linalg``.
@@ -36,7 +37,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .modem import EffectiveChannel, _support_runs
 
@@ -52,20 +52,33 @@ __all__ = [
 
 def _scipy_extension(name: str):
     """scipy's compiled module ``scipy.linalg.<name>``, loaded from its
-    install directory without running ``scipy.linalg``'s ``__init__``.
+    install directory without running scipy's or ``scipy.linalg``'s
+    ``__init__``.
 
+    ``find_spec("scipy")`` locates the package without importing it.
+    A module that is found but fails to load is loaded once more after
+    ``import scipy``, whose ``_distributor_init`` is where a
+    distribution sets up the BLAS or DLLs its kernels link against.
     The full dotted name keys CPython's cache of single-phase extension
     modules, so the kernels are the very objects ``scipy.linalg.blas``
     and ``scipy.linalg.lapack`` export, whichever is imported first.
     """
-    directory = os.path.join(scipy.__path__[0], "linalg")
+    package = importlib.util.find_spec("scipy")
+    if package is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    directory = os.path.join(package.submodule_search_locations[0], "linalg")
     fullname = f"scipy.linalg.{name}"
     spec = importlib.machinery.PathFinder.find_spec(fullname, [directory])
     if spec is None:
         raise ImportError(f"{fullname} not found in {directory}",
                           name=fullname)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except ImportError:
+        import scipy  # noqa: F401
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
     return module
 
 

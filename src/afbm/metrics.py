@@ -118,7 +118,7 @@ def _sir_db(diag2: float, off2: float) -> float:
     most 1e-15 of the diagonal's (of 1, if that is smaller)."""
     if off2 <= 1e-15 * max(diag2, 1.0):
         return np.inf
-    return 10.0 * np.log10(diag2 / off2)
+    return float(10.0 * np.log10(diag2 / off2))
 
 
 def sir_conditioned(delta: np.ndarray) -> ConditionedSir:
@@ -281,14 +281,18 @@ def _runner(modem: AfbmModem, work, workers: int):
         yield lambda tasks: pool.map(_pool_task, tasks)
 
 
+def _average_db(samples: np.ndarray, averaging: str) -> float:
+    """Average of dB samples: "linear" averages their power ratios
+    before converting back to dB, "db" the dB values themselves."""
+    if averaging == "linear":
+        return float(10.0 * np.log10(np.mean(10.0 ** (samples / 10.0))))
+    return float(np.mean(samples))
+
+
 def _statistics(samples_db: list[float], averaging: str) -> SirStatistics:
     samples = np.array(samples_db)
-    if averaging == "linear":
-        average = 10.0 * np.log10(np.mean(10.0 ** (samples / 10.0)))
-    else:
-        average = float(np.mean(samples))
     return SirStatistics(
-        average_db=float(average),
+        average_db=_average_db(samples, averaging),
         maximum_db=float(np.max(samples)),
         minimum_db=float(np.min(samples)),
         samples_db=tuple(float(s) for s in samples),

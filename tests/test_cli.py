@@ -356,6 +356,12 @@ class TestRun:
         # per-realization samples: 2 scenarios x 2 domains x 3 draws
         assert len(report.samples) == 12
 
+    def test_waveform_sir_is_a_python_float(self):
+        spec = parse_spec("kind: sir-waveform\nmodulation: {L: 32, K: 4, "
+                          "N: 64, P: [48, 64], filter: [hermite]}\n")
+        values = [row[5] for row in run(spec, workers=1).rows]
+        assert [type(v) for v in values] == [float, float]
+
 
 class TestMainAndOutputs:
 
@@ -595,26 +601,38 @@ class TestMainAndOutputs:
         for path, stamp in maps.items():
             assert open(path).readline().rstrip("\n") == stamp
 
-    def test_summary_counts_infinite_samples(self, tmp_path):
-        # At sigma2 = 0 every filtered sample reads +inf, which the CSV's
-        # average_db row shows only as +inf.
+    @pytest.mark.parametrize("averaging", ["db", "linear"])
+    def test_summary_counts_infinite_samples(self, tmp_path, averaging):
+        # At sigma2 = 0 every filtered sample and some affine ones read
+        # +inf, which the CSV's average_db rows show only as +inf; the
+        # summary averages the finite ones under the spec's rule.
         text = SMALL_SIR.replace(
-            "sigma2: {affine: 3.0e-3, filtered: 3.0e-4}", "sigma2: 0")
+            "sigma2: {affine: 3.0e-3, filtered: 3.0e-4}", "sigma2: 0") \
+            .replace("averaging: db", f"averaging: {averaging}")
         spec = parse_spec(text)
-        report = run(spec, workers=1)
-        filtered = [s for s in report.samples if s[2] == "filtered"]
-        assert filtered and all(s[4] == float("inf") for s in filtered)
-        write_report(spec, report, str(tmp_path))
-        summary = (tmp_path / "summary.txt").read_text()
-        lines = summary.split("\n+inf SIR samples:\n")[1].splitlines()
+        paths = write_report(spec, run(spec, workers=1), str(tmp_path))
+        samples_csv = next(p for p in paths if p.endswith("-samples.csv"))
+        samples = {}
+        for row in open(samples_csv).read().splitlines()[2:]:
+            family, P, domain, _, sir_db = row.split(",")
+            samples.setdefault(f"{family}/P={P}/{domain}", []).append(
+                float(sir_db))
         want = []
-        for P in (48, 64):
-            for domain in ("affine", "filtered"):
-                inf = sum(s[4] == float("inf") for s in report.samples
-                          if s[1:3] == (P, domain))
-                want.append(f"  hermite/P={P}/{domain}: {inf} of 3")
-        assert lines == want
-        assert "  hermite/P=48/filtered: 3 of 3" in lines
+        for name, values in samples.items():
+            finite = np.array([v for v in values if np.isfinite(v)])
+            line = (f"  {name}: {values.count(np.inf)} of 3 +inf; "
+                    f"{finite.size} finite")
+            if finite.size:
+                average = (10 * np.log10(np.mean(10 ** (finite / 10)))
+                           if averaging == "linear" else np.mean(finite))
+                line += f", average {average:.4f} dB"
+            want.append(line)
+        summary = (tmp_path / "summary.txt").read_text()
+        title = f"\n+inf SIR samples, and the finite ones' {averaging} " \
+                f"average:\n"
+        assert summary.split(title)[1].splitlines() == want
+        assert "  hermite/P=48/filtered: 3 of 3 +inf; 0 finite" in want
+        assert any("of 3 +inf; 2 finite, average " in line for line in want)
 
     def test_summary_counts_ber_frames(self, tmp_path):
         # Of 60 trials, run in batches of 25 frames, the -10 dB points

@@ -1,8 +1,10 @@
 """scipy's BLAS/LAPACK kernels as the package loads them.
 
-:mod:`afbm.equalize` loads scipy's two f2py modules without the
-``scipy.linalg`` package.  The import checks run in fresh interpreters,
-so no earlier import in the test session hides what a command loads.
+:mod:`afbm.equalize` loads scipy's two f2py modules without running
+the ``scipy`` or ``scipy.linalg`` package, and :mod:`afbm.cli` loads
+PyYAML only to parse or serialize a spec.  The import checks run in
+fresh interpreters, so no earlier import in the test session hides what
+a command loads.
 """
 
 import os
@@ -40,11 +42,42 @@ def _python(code: str) -> str:
     return done.stdout
 
 
-def test_cli_import_leaves_scipy_linalg_and_the_pool_unloaded():
+def test_cli_import_leaves_yaml_scipy_and_the_pool_unloaded():
     out = _python("import sys, afbm.cli, afbm.metrics; "
                   "print(*(name in sys.modules for name in "
-                  "('scipy.linalg', 'concurrent.futures.process')))")
-    assert out == "False False\n"
+                  "('yaml', 'scipy', 'scipy.linalg', "
+                  "'concurrent.futures.process')))")
+    assert out == "False False False False\n"
+
+
+def test_parsing_a_spec_loads_yaml():
+    out = _python("import sys, afbm.cli; "
+                  "spec = afbm.cli.parse_spec('kind: ber\\nseed: 3'); "
+                  "print(spec.kind, spec.seed, 'yaml' in sys.modules)")
+    assert out == "ber 3 True\n"
+
+
+# Fails the first load from the install directory, as a distribution
+# whose kernels need scipy's _distributor_init would.
+FAIL_ONCE = """
+import importlib.util, sys
+load, calls = importlib.util.module_from_spec, []
+def fail_once(spec):
+    calls.append(spec.name)
+    if len(calls) == 1:
+        raise ImportError("kernel library not set up")
+    return load(spec)
+importlib.util.module_from_spec = fail_once
+import afbm.equalize
+importlib.util.module_from_spec = load
+print(calls, "scipy" in sys.modules)
+"""
+
+
+def test_a_failed_load_is_retried_after_importing_scipy():
+    assert _python(FAIL_ONCE + SAME_KERNELS) == (
+        "['scipy.linalg._fblas', 'scipy.linalg._fblas', "
+        "'scipy.linalg._flapack'] True\n[] True\n")
 
 
 @pytest.mark.parametrize("first", ["afbm.metrics", "scipy.linalg"])
