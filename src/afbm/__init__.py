@@ -20,14 +20,14 @@ _EXPORTS = {
                 "sample_channel", "trial_stream"),
     "equalize": ("Equalizer", "delta_from_gram", "delta_matrix",
                  "equalize_and_detect", "mmse"),
-    "filters": ("PrototypeFilter", "hermite_prototype", "phydyas_prototype"),
+    "filters": ("hermite_prototype", "phydyas_prototype"),
     "metrics": ("BerPoint", "ConditionedSir", "SirPass", "SirStatistics",
                 "WaveformSir", "ber_curve", "sir_conditioned", "sir_pass",
                 "sir_waveform"),
     "modem": ("AFFINE", "FILTERED", "AfbmModem", "EffectiveChannel",
               "ModulationConfig", "design_config", "qam_alphabet",
               "qam_demap", "qam_map"),
-    "transforms": ("ChirpParams", "daft_matrix", "default_c1", "default_c2",
+    "transforms": ("daft_matrix", "default_c1", "default_c2",
                    "synthesis_block"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items()

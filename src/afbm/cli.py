@@ -52,7 +52,7 @@ import numpy as np
 from . import __version__
 from .channel import ChannelConfig
 from .metrics import _average_db, ber_curve, sir_pass, sir_waveform
-from .filters import _OVERLAP
+from .filters import _FAMILIES
 from .modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                     _design_prototype, design_config, qam_alphabet)
 from .transforms import separability_span
@@ -64,7 +64,6 @@ __all__ = [
     "main",
     "parse_spec",
     "run",
-    "serialize_spec",
     "spec_fingerprint",
     "validate",
 ]
@@ -218,17 +217,9 @@ def _spec_from_dict(doc: dict) -> ExperimentSpec:
     return ExperimentSpec(**values)
 
 
-def serialize_spec(spec: ExperimentSpec) -> str:
-    """Canonical YAML for round-tripping.  PyYAML is imported here and in
-    :func:`parse_spec` only, so a run that reads no config never loads
-    it."""
-    import yaml
-
-    return yaml.safe_dump(_spec_to_dict(spec), sort_keys=True,
-                          default_flow_style=False)
-
-
 def parse_spec(text: str) -> ExperimentSpec:
+    """The spec a YAML config describes.  PyYAML is imported here only,
+    so a run that reads no config never loads it."""
     import yaml
 
     try:
@@ -351,9 +342,9 @@ def validate(spec: ExperimentSpec) -> list[str]:
     unbuildable = [f"{name} must be positive, got {value}"
                    for name, value in [("L", spec.L)]
                    + [("P", p) for p in spec.P] if value < 1]
-    unbuildable += [f"filter must be one of {sorted(_OVERLAP)}, "
+    unbuildable += [f"filter must be one of {sorted(_FAMILIES)}, "
                     f"got {family!r}" for family in spec.filters
-                    if family not in _OVERLAP]
+                    if family not in _FAMILIES]
     out += unbuildable
     for family, P in [] if unbuildable else spec.scenarios():
         cfg = spec.modulation_config(family, P)

@@ -62,10 +62,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as _channel
-from .filters import (_OVERLAP, PrototypeFilter, block_toeplitz,
-                      hermite_prototype, phydyas_prototype)
-from .transforms import (ChirpParams, daft_matrix, default_c1, default_c2,
-                         synthesis_block)
+from .filters import _FAMILIES, block_toeplitz
+from .transforms import daft_matrix, default_c1, default_c2, synthesis_block
 
 __all__ = [
     "AFFINE",
@@ -128,8 +126,8 @@ class ModulationConfig:
         reads a derived value, so an unknown family is reported here
         before :attr:`overlap` or :attr:`frame_size` is read."""
         out = []
-        if self.filter_family not in _OVERLAP:
-            out.append(f"filter family must be one of {sorted(_OVERLAP)}, "
+        if self.filter_family not in _FAMILIES:
+            out.append(f"filter family must be one of {sorted(_FAMILIES)}, "
                        f"got {self.filter_family!r}")
         if self.L < 4:
             out.append(f"need L >= 4, got L={self.L}")
@@ -151,7 +149,8 @@ class ModulationConfig:
     @property
     def overlap(self) -> float:
         """Filter overlap factor in grid periods, fixed by the family."""
-        return _OVERLAP[self.filter_family]
+        overlap, _ = _FAMILIES[self.filter_family]
+        return overlap
 
     @property
     def c1(self) -> float:
@@ -168,12 +167,11 @@ class ModulationConfig:
         return round(self.overlap * self.N) + (self.K - 1) * self.N // 2
 
 
-_DESIGNS = {"hermite": hermite_prototype, "phydyas": phydyas_prototype}
-
-
-def _design_prototype(cfg: ModulationConfig) -> PrototypeFilter:
-    """The family's designed prototype on the configuration's grid."""
-    return _DESIGNS[cfg.filter_family](cfg.N)
+def _design_prototype(cfg: ModulationConfig) -> np.ndarray:
+    """The taps of the family's designed prototype on the configuration's
+    grid."""
+    _, design = _FAMILIES[cfg.filter_family]
+    return design(cfg.N)
 
 
 def design_config(L: int, K: int, N: int, P: int,
@@ -269,17 +267,15 @@ class AfbmModem:
         if problems:
             raise ValueError("; ".join(problems))
         self.cfg = cfg
-        self.prototype = _design_prototype(cfg)
-        self._bank_gain = np.sqrt(cfg.N / 2)
-        # The bank as taps: row r of the single-symbol bank matrix holds
-        # taps[r] in column r mod N and nothing else.
-        self._taps = self._bank_gain * self.prototype.taps
+        # The bank as gained taps: row r of the single-symbol bank matrix
+        # holds taps[r] in column r mod N and nothing else.
+        self._taps = np.sqrt(cfg.N / 2) * _design_prototype(cfg)
         # Column energies of the bank, one fold of the squared taps.
         self._bank_energy = self._fold(self._taps ** 2)
 
         # Synthesis o the L-point DAFT of the precoder.
         composed = synthesis_block(cfg) @ daft_matrix(
-            ChirpParams(cfg.c1, default_c2(cfg.L), cfg.L))
+            cfg.c1, default_c2(cfg.L), cfg.L)
         gram_diag = self._bank_energy @ (np.abs(composed) ** 2)
         act = active_indices(cfg.L)
         if np.any(gram_diag[act] <= 0):
@@ -406,7 +402,7 @@ class AfbmModem:
     def filter_matrix(self) -> np.ndarray:
         """Dense frame_size x NK transmit filter bank with the modem gain,
         built on each call."""
-        return self._bank_gain * block_toeplitz(self.prototype, self.cfg.K)
+        return block_toeplitz(self._taps, self.cfg.N, self.cfg.K)
 
     # ------------------------------------------------------ effective channels
 

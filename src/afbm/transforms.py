@@ -1,10 +1,13 @@
 """Discrete affine Fourier building blocks.
 
 The modulation chain is a composition of a small number of structured
-matrices: normalized DFTs, diagonal chirps, the pruned DAFT, and the
+matrices: normalized DFTs, diagonal chirps, the DAFT, and the
 frequency-domain expansion that embeds a P-point spectrum into an
-N-point grid.  DFT entries are read from the n-th roots of unity at
-the exponent mk mod n, so an n-point matrix costs n complex
+N-point grid.  The DAFT takes its two chirp rates and its size as
+plain numbers (:func:`daft_matrix`); the modulation config is the one
+place that derives them, and :func:`synthesis_block` keeps the first L
+rows of its P-point DAFT.  DFT entries are read from the n-th roots of
+unity at the exponent mk mod n, so an n-point matrix costs n complex
 exponentials rather than n^2, and :func:`synthesis_block` applies its
 two DFT stages as FFTs along the columns instead of multiplying dense
 DFT matrices.  The dense matrices stay available as the oracles those
@@ -15,12 +18,10 @@ paths are checked against; the per-symbol fast paths live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ChirpParams",
     "chirp_phases",
     "daft_matrix",
     "default_c1",
@@ -28,34 +29,9 @@ __all__ = [
     "dft_matrix",
     "expansion_matrix",
     "grid_alignment_phases",
-    "pruned_daft",
     "separability_span",
     "synthesis_block",
 ]
-
-
-@dataclass(frozen=True)
-class ChirpParams:
-    """Chirp rates of one DAFT stage.
-
-    Parameters
-    ----------
-    c1, c2 : float
-        Digital chirp frequencies multiplying the squared index in the
-        pre- and post-DFT diagonal, both dimensionless.
-    n : int
-        Transform size, at least 2.
-    """
-
-    c1: float
-    c2: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"transform size must be >= 2, got {self.n}")
-        if not (math.isfinite(self.c1) and math.isfinite(self.c2)):
-            raise ValueError("chirp rates must be finite")
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -83,24 +59,21 @@ def chirp_phases(c: float, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * c * k.astype(float) ** 2)
 
 
-def daft_matrix(params: ChirpParams) -> np.ndarray:
+def daft_matrix(c1: float, c2: float, n: int) -> np.ndarray:
     """Discrete affine Fourier transform matrix Lambda_c1 F Lambda_c2.
 
-    Unitary for any pair of chirp rates; collapses to the plain DFT
-    when both rates are zero.
+    ``c1`` and ``c2`` are the dimensionless rates of the pre- and
+    post-DFT chirps (:func:`chirp_phases`), both finite, and n >= 2 the
+    transform size.  Unitary for any pair of rates; collapses to the
+    plain DFT when both are zero.
     """
-    pre = chirp_phases(params.c1, params.n)
-    post = chirp_phases(params.c2, params.n)
-    return pre[:, None] * dft_matrix(params.n) * post[None, :]
-
-
-def pruned_daft(L: int, P: int, params: ChirpParams) -> np.ndarray:
-    """First L rows of the P-point DAFT (an L x P matrix with orthonormal rows)."""
-    if params.n != P:
-        raise ValueError(f"chirp params sized {params.n}, expected {P}")
-    if not 1 <= L <= P:
-        raise ValueError(f"need 1 <= L <= P, got L={L}, P={P}")
-    return daft_matrix(params)[:L]
+    if n < 2:
+        raise ValueError(f"transform size must be >= 2, got {n}")
+    if not (math.isfinite(c1) and math.isfinite(c2)):
+        raise ValueError("chirp rates must be finite")
+    pre = chirp_phases(c1, n)
+    post = chirp_phases(c2, n)
+    return pre[:, None] * dft_matrix(n) * post[None, :]
 
 
 def expansion_matrix(N: int, P: int) -> np.ndarray:
@@ -145,9 +118,9 @@ def grid_alignment_phases(N: int, overlap: float) -> np.ndarray:
 def synthesis_block(cfg) -> np.ndarray:
     """N x L synthesis matrix from compensated subcarrier symbols to the bank grid.
 
-    Composes the adjoint of the pruned P-point DAFT, the P-point DFT,
-    the frequency-domain expansion, the grid alignment phases, and the
-    inverse N-point DFT.  The result is an isometry: its Gram matrix is
+    Composes the adjoint of the P-point DAFT's first L rows, the P-point
+    DFT, the frequency-domain expansion, the grid alignment phases, and
+    the inverse N-point DFT.  The result is an isometry: its Gram matrix is
     the L x L identity to within roundoff.  Both DFT stages run as
     unitary FFTs down the L columns.
 
@@ -161,9 +134,8 @@ def synthesis_block(cfg) -> np.ndarray:
     if not cfg.L < cfg.P <= cfg.N:
         raise ValueError(f"need L < P <= N, got L={cfg.L}, P={cfg.P}, N={cfg.N}")
     L, P, N = cfg.L, cfg.P, cfg.N
-    params = ChirpParams(cfg.c1, default_c2(P), P)
-    spectrum = np.fft.fft(pruned_daft(L, P, params).conj().T, axis=0,
-                          norm="ortho")
+    pruned = daft_matrix(cfg.c1, default_c2(P), P)[:L]
+    spectrum = np.fft.fft(pruned.conj().T, axis=0, norm="ortho")
     # The expansion: each half of the P-point spectrum at a grid edge.
     grid = np.zeros((N, L), dtype=complex)
     grid[:P // 2] = spectrum[:P // 2]

@@ -13,11 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from afbm import (AFFINE, FILTERED, AfbmModem, ChannelConfig, ChirpParams,
-                  apply_channel, ber_curve, channel_matrix, daft_matrix,
-                  delta_from_gram, design_config, sample_channel,
-                  sir_conditioned, sir_pass, sir_waveform,
-                  synthesis_block, trial_stream)
+from afbm import (AFFINE, FILTERED, AfbmModem, ChannelConfig, apply_channel,
+                  ber_curve, channel_matrix, daft_matrix, delta_from_gram,
+                  design_config, sample_channel, sir_conditioned, sir_pass,
+                  sir_waveform, synthesis_block, trial_stream)
 from afbm.cli import PRESETS, _usable_cores, run
 from afbm.equalize import _gram
 from afbm.modem import mapping_matrix
@@ -180,7 +179,7 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
     failures = []
 
     for n, c1, c2 in ((37, 0.013, 0.0007), (64, 5 / 512, 0.003)):
-        W = daft_matrix(ChirpParams(c1, c2, n))
+        W = daft_matrix(c1, c2, n)
         if np.abs(W.conj().T @ W - np.eye(n)).max() >= 1e-10:
             failures.append("transform unitarity")
 

@@ -59,7 +59,7 @@ def test_the_scan_flags_a_caller_outside_the_oracles():
         "    S = modem.modulation_matrix()\n"
         "    return S\n"
         "def filter_matrix(self):\n"
-        "    return block_toeplitz(self.prototype, 2)\n"
+        "    return block_toeplitz(self._taps, 16, 2)\n"
         "def outer():\n"
         "    def mmse(h):\n"
         "        return _solve_spd(h)\n"

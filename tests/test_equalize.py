@@ -363,23 +363,18 @@ class TestSupportGram:
 
     @pytest.mark.parametrize("domain", [AFFINE, FILTERED])
     def test_full_support_phydyas(self, mid_phydyas, domain):
-        """A full support sums the Gram one receive window at a time,
-        and that equals one ``zherk`` over the whole channel bit for bit.
-
-        For the filtered channel the identity holds only while
-        ``zherk``'s k block divides the N = 128 rows per window: 128 in
-        the OpenBLAS 0.3.30 scipy 1.17 ships, on a SkylakeX core.  With
-        16, 32 or 64 rows per window the last bits differ, so under a
-        BLAS with another k block the [filtered] case may fail with no
-        change to the package.
-        """
+        """A full support sums the Gram as the sweep does, bit for bit:
+        one in-place ``zherk`` per receive window of the filtered
+        channel, in window order, and one over the square affine one."""
         ch = sample_channel(3, 16, 2.0, trial_stream(4, 2),
                             size=mid_phydyas.cfg.frame_size)
         heff = mid_phydyas.effective_channel(ch, domain)
         assert heff.support.all()
         self.check(heff.matrix, heff.support)
+        rows = mid_phydyas.cfg.N if domain == FILTERED else \
+            heff.matrix.shape[0]
         assert np.array_equal(_gram(heff.matrix, heff.support),
-                              _gram(heff.matrix))
+                              windowed_herk(heff.matrix, rows))
 
 
 class TestDetection:
@@ -404,16 +399,28 @@ class TestDetection:
         assert np.array_equal(got, sent)
 
 
+def windowed_herk(h, rows):
+    """h^H h on and below the diagonal as the sweep sums it: one
+    in-place ``zherk`` (beta = 1) per block of ``rows`` rows of h, one
+    receive window at a time, in window order."""
+    n = h.shape[1]
+    out = np.zeros((n, n), dtype=complex)
+    for a in range(0, h.shape[0], rows):
+        out = scipy.linalg.blas.zherk(1.0, h[a:a + rows].T, beta=1.0,
+                                      c=out.T, trans=0, lower=0,
+                                      overwrite_c=1).T
+    return out
+
+
 def zherk_soft_estimates(heff, received, sigma2, rows):
-    """mmse_detect's soft estimates as it forms them from one dense
-    zherk: the upper triangle of conj(G) conjugated in place into G's,
-    factored, and solved against the conjugated Heff^T conj(r), which
-    is summed over blocks of ``rows`` rows of Heff, one receive window
-    at a time as the sweep sums it."""
+    """mmse_detect's soft estimates as it forms them from the Gram
+    summed over blocks of ``rows`` rows of Heff (:func:`windowed_herk`):
+    the upper triangle of conj(G) conjugated into G's, factored, and
+    solved against the conjugated Heff^T conj(r), summed over the same
+    blocks, one receive window at a time as the sweep sums both."""
     Hm = heff.matrix
     n = Hm.shape[1]
-    reg = scipy.linalg.blas.zherk(1.0, Hm.T, trans=0, lower=0)
-    np.conjugate(reg, out=reg)
+    reg = np.conjugate(windowed_herk(Hm, rows).T)
     reg[np.diag_indices(n)] += sigma2
     factor, info = scipy.linalg.lapack.zpotrf(reg, lower=0, clean=0,
                                               overwrite_a=1)

@@ -9,14 +9,13 @@ from afbm.filters import single_symbol_matrix
 from afbm.modem import (AFFINE, FILTERED, AfbmModem, ModulationConfig,
                         active_indices, design_config, mapping_matrix,
                         qam_alphabet, qam_demap, qam_map)
-from afbm.transforms import (ChirpParams, daft_matrix, default_c2,
-                             synthesis_block)
+from afbm.transforms import daft_matrix, default_c2, synthesis_block
 
 
 def precoder(modem):
     """L x L precoding matrix: the L-point DAFT times the gain vector."""
     cfg = modem.cfg
-    return daft_matrix(ChirpParams(cfg.c1, default_c2(cfg.L), cfg.L)) * \
+    return daft_matrix(cfg.c1, default_c2(cfg.L), cfg.L) * \
         modem._comp[None, :]
 
 
@@ -137,7 +136,7 @@ class TestModemStructure:
             return np.linalg.norm(gram - d) / np.linalg.norm(d)
 
         for modem in (mid_hermite, mid_phydyas):
-            bank = single_symbol_matrix(modem.prototype)
+            bank = single_symbol_matrix(modem._taps, modem.cfg.N)
             bank_gram = bank.T @ bank
             V = synthesis_block(modem.cfg) @ precoder(modem)
             per_symbol = V.conj().T @ bank_gram @ V

@@ -7,9 +7,11 @@ recorded for this package version and BLAS stamp
 (:func:`conftest.blas_stamp`).  Another BLAS build or core may move
 bits at roundoff with no change to the package, so under a stamp with
 no entry the test skips, naming both stamps and the files that differ.
-A change that moves result bytes on purpose bumps the version and
-records a new entry; with none recorded for a version, the test fails
-and prints this run's.
+The BER CSV is checked first, under every stamp: its bit-error counts
+are integers and read the same under the SkylakeX, Haswell and
+SandyBridge kernels, so that layer never skips.  A change that moves
+result bytes on purpose bumps the version and records a new entry;
+with none recorded for a version, the test fails and prints this run's.
 """
 
 import hashlib
@@ -29,6 +31,7 @@ SPECS = (
     replace(PRESETS["ber-curves"], snr_db=(0.0, 10.0, 20.0), trials=10,
             **MID),
 )
+BER_CSV = "ber-35b7971a069f.csv"
 
 # (version, BLAS stamp) -> {CSV name: sha256 below its stamp line}.
 TABLE = {
@@ -84,14 +87,15 @@ def _differing(want: dict, got: dict) -> list[str]:
 @pytest.mark.parametrize("workers", [1, 2])
 def test_result_bytes_match_the_table(workers, blas_stamp, tmp_path):
     got = result_hashes(workers, tmp_path)
+    recorded = [stamp for version, stamp in TABLE if version == __version__]
+    assert recorded, (f"no result bytes recorded for afbm {__version__}; "
+                      f"this run's, under {(__version__, blas_stamp)}: {got}")
+    first = TABLE[__version__, recorded[0]]
+    assert got.get(BER_CSV) == first[BER_CSV], \
+        f"BER bytes moved at workers={workers} under BLAS {blas_stamp}"
     want = TABLE.get((__version__, blas_stamp))
     if want is None:
-        recorded = [stamp for version, stamp in TABLE
-                    if version == __version__]
-        assert recorded, (f"no result bytes recorded for afbm "
-                          f"{__version__}; this run's, under "
-                          f"{(__version__, blas_stamp)}: {got}")
-        differ = _differing(TABLE[__version__, recorded[0]], got)
+        differ = _differing(first, got)
         pytest.skip(f"result bytes recorded under BLAS {recorded[0]}, "
                     f"this run has {blas_stamp}; files that differ: "
                     f"{differ or 'none'}")

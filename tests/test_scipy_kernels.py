@@ -2,7 +2,7 @@
 
 :mod:`afbm.equalize` loads scipy's two f2py modules without running
 the ``scipy`` or ``scipy.linalg`` package, and :mod:`afbm.cli` loads
-PyYAML only to parse or serialize a spec.  The import checks run in
+PyYAML only to parse a spec.  The import checks run in
 fresh interpreters, so no earlier import in the test session hides what
 a command loads.
 """

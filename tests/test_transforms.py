@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from afbm.transforms import (ChirpParams, chirp_phases, daft_matrix,
-                             default_c1, default_c2, dft_matrix,
-                             expansion_matrix, grid_alignment_phases,
-                             pruned_daft, separability_span, synthesis_block)
+from afbm.transforms import (chirp_phases, daft_matrix, default_c1,
+                             default_c2, dft_matrix, expansion_matrix,
+                             grid_alignment_phases, separability_span,
+                             synthesis_block)
 from afbm.modem import design_config
 
 
@@ -33,15 +33,7 @@ class TestDftMatrix:
         assert np.abs(dft_matrix(n) - want).max() < 1e-15
 
 
-class TestChirpParams:
-
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            ChirpParams(0.1, 0.01, 1)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            ChirpParams(np.inf, 0.0, 8)
+class TestChirpPhases:
 
     def test_chirp_phases_unimodular(self):
         ph = chirp_phases(0.037, 50)
@@ -56,23 +48,19 @@ class TestDaftMatrix:
                                        (-0.017, 3e-5)])
     @pytest.mark.parametrize("n", [8, 24])
     def test_unitary(self, n, c1, c2):
-        assert unitary_error(daft_matrix(ChirpParams(c1, c2, n))) < 1e-12
+        assert unitary_error(daft_matrix(c1, c2, n)) < 1e-12
 
     def test_zero_chirps_reduce_to_dft(self):
-        W = daft_matrix(ChirpParams(0.0, 0.0, 16))
+        W = daft_matrix(0.0, 0.0, 16)
         assert np.allclose(W, dft_matrix(16), atol=1e-14)
 
-    def test_row_pruning(self):
-        params = ChirpParams(0.02, 1e-4, 24)
-        W = daft_matrix(params)
-        assert np.allclose(pruned_daft(10, 24, params), W[:10], atol=0)
+    def test_rejects_small_n(self):
+        with pytest.raises(ValueError):
+            daft_matrix(0.1, 0.01, 1)
 
-    def test_pruned_validates_sizes(self):
-        params = ChirpParams(0.02, 1e-4, 24)
+    def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            pruned_daft(25, 24, params)
-        with pytest.raises(ValueError):
-            pruned_daft(10, 23, params)
+            daft_matrix(np.inf, 0.0, 8)
 
 
 class TestExpansionMatrix:
