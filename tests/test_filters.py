@@ -25,6 +25,10 @@ class TestHermitePrototype:
         taps = hermite_prototype(64)
         assert taps.argmax() in ((taps.size - 1) // 2, taps.size // 2)
 
+    def test_rejects_odd_fft_size(self):
+        with pytest.raises(ValueError):
+            hermite_prototype(15)
+
 
 class TestPhydyasPrototype:
 
@@ -45,6 +49,19 @@ class TestPhydyasPrototype:
     def test_rejects_tiny_fft_size(self):
         with pytest.raises(ValueError):
             phydyas_prototype(4)
+
+
+class TestFamilies:
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_taps_fill_whole_half_period_blocks(self, family):
+        # the bank strides half a period, so each family's pulse spans a
+        # whole number of N/2 blocks: overlap * N taps, 2 * overlap whole
+        overlap, design = _FAMILIES[family]
+        assert (2 * overlap).is_integer()
+        for N in (16, 64):
+            assert design(N).size == round(overlap * N)
+            assert design(N).size % (N // 2) == 0
 
 
 class TestSingleSymbolMatrix:

@@ -106,6 +106,18 @@ class TestSynthesisBlock:
         with pytest.raises(ValueError):
             synthesis_block(design_config(16, 2, 16, 16, "hermite"))
 
+    @pytest.mark.parametrize("L,P,N", [(32, 24, 32), (8, 24, 16)])
+    def test_rejects_l_above_p_or_p_above_n(self, L, P, N):
+        with pytest.raises(ValueError):
+            synthesis_block(design_config(L, 2, N, P, "hermite"))
+
+    def test_row_pruning(self):
+        # column l comes from DAFT row l alone, so a smaller L keeps the
+        # leading columns of a larger one at the same P and N
+        wide = synthesis_block(design_config(64, 8, 128, 96, "phydyas"))
+        narrow = synthesis_block(design_config(32, 8, 128, 96, "phydyas"))
+        assert np.abs(narrow - wide[:, :32]).max() < 1e-15
+
     @pytest.mark.parametrize("family", ["hermite", "phydyas"])
     @pytest.mark.parametrize("P", [96, 192, 256])
     def test_matches_the_composition_through_np_fft(self, family, P):
