@@ -22,8 +22,7 @@ _EXPORTS = {
                  "equalize_and_detect", "mmse"),
     "filters": ("hermite_prototype", "phydyas_prototype"),
     "metrics": ("BerPoint", "ConditionedSir", "SirPass", "SirStatistics",
-                "WaveformSir", "ber_curve", "sir_conditioned", "sir_pass",
-                "sir_waveform"),
+                "ber_curve", "sir_conditioned", "sir_pass", "sir_waveform"),
     "modem": ("AFFINE", "FILTERED", "AfbmModem", "EffectiveChannel",
               "ModulationConfig", "design_config", "qam_alphabet",
               "qam_demap", "qam_map"),

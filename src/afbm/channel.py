@@ -2,9 +2,9 @@
 
 A channel realization is a small set of paths, each a complex gain, an
 integer cyclic delay, and a real Doppler shift measured in cycles per
-frame.  The induced matrix is a sum of phase-twisted cyclic shifts; it
-is never materialized on the hot path, since applying it per path is
-both exact and cheap.
+frame, plus the size M of the frames it acts on.  Its M x M matrix, a
+sum of phase-twisted cyclic shifts, is never materialized on the hot
+path, since applying it per path is both exact and cheap.
 """
 
 from __future__ import annotations
@@ -46,14 +46,16 @@ class PathSpec:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """A set of paths, optionally annotated with the frame size it acts on."""
+    """A set of paths and the size of the frames it acts on."""
 
     paths: tuple[PathSpec, ...]
-    size: int | None = None
+    size: int
 
     def __post_init__(self):
         if len(self.paths) < 1:
             raise ValueError("a realization needs at least one path")
+        if self.size < 1:
+            raise ValueError(f"frame size must be >= 1, got {self.size}")
         delays = [p.delay for p in self.paths]
         if len(set(delays)) != len(delays):
             raise ValueError(f"path delays must be distinct, got {delays}")
@@ -91,8 +93,8 @@ def trial_stream(seed: int, index: int) -> np.random.Generator:
 
 def sample_channel(n_paths: int, delay_max: int, doppler_max: float,
                    rng: np.random.Generator,
-                   size: int | None = None) -> ChannelRealization:
-    """Draw one realization.
+                   size: int) -> ChannelRealization:
+    """Draw one realization for frames of ``size`` samples.
 
     The first path always sits at delay zero; the remaining delays are
     drawn uniformly without replacement from [1, delay_max].  Dopplers
@@ -115,23 +117,13 @@ def sample_channel(n_paths: int, delay_max: int, doppler_max: float,
     return ChannelRealization(paths, size=size)
 
 
-def _frame_size(c: ChannelRealization, size: int | None) -> int:
-    if size is None:
-        size = c.size
-    if size is None:
-        raise ValueError("frame size unknown: pass size or annotate the "
-                         "realization")
-    return size
-
-
-def channel_matrix(c: ChannelRealization,
-                   size: int | None = None) -> np.ndarray:
+def channel_matrix(c: ChannelRealization) -> np.ndarray:
     """Dense M x M matrix: sum over paths of gain * phase-diag * cyclic shift.
 
-    The Doppler phase of path r is exp(-j2pi m f_r / M) on sample m,
-    applied after the cyclic shift by the path delay.
+    M is ``c.size``.  The Doppler phase of path r is exp(-j2pi m f_r / M)
+    on sample m, applied after the cyclic shift by the path delay.
     """
-    M = _frame_size(c, size)
+    M = c.size
     m = np.arange(M)
     H = np.zeros((M, M), dtype=complex)
     for p in c.paths:
@@ -146,9 +138,9 @@ def _path_twists(c: ChannelRealization,
 
     The twist of a path is gain * exp(-j2pi m f / M) on output sample m,
     the factor its shifted input is multiplied by.  Refuses a
-    realization annotated for another frame size.
+    realization drawn for another frame size.
     """
-    if c.size is not None and c.size != M:
+    if c.size != M:
         raise ValueError(f"realization is annotated for frames of "
                          f"{c.size} samples, got {M}")
     m = np.arange(M)
@@ -159,19 +151,17 @@ def _path_twists(c: ChannelRealization,
 def apply_channel(c: ChannelRealization, s: np.ndarray) -> np.ndarray:
     """Apply the realization per path: shift, phase-twist, accumulate.
 
-    ``s`` is a length-M vector or an M-row matrix (columns propagate
-    independently).  Matches the dense product with
-    :func:`channel_matrix` to roundoff.
+    ``s`` is one frame, a vector of ``c.size`` samples; any other shape
+    is refused.  Matches the dense product with :func:`channel_matrix`
+    to roundoff.
     """
     s = np.asarray(s, dtype=complex)
-    if s.ndim == 0 or s.shape[0] == 0:
-        raise ValueError("expected a non-empty vector or matrix of samples")
-    M = s.shape[0]
+    M = c.size
+    if s.shape != (M,):
+        raise ValueError(f"frame must have shape ({M},), got {s.shape}")
     out = np.zeros_like(s)
     term = np.empty_like(s)
     for d, twist in _path_twists(c, M):
-        if s.ndim > 1:
-            twist = twist[:, None]
         # Cyclic shift by d without a rolled copy: rows [d, M) take
         # s[0, M-d), rows [0, d) wrap around from s[M-d, M).
         np.multiply(twist[d:], s[:M - d], out=term[d:])

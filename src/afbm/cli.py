@@ -387,9 +387,9 @@ def _run_sir_waveform(spec: ExperimentSpec, workers: int):
     header = ("filter", "P", "L", "K", "N", "sir_db", "orthogonal")
     rows = []
     for family, P in spec.scenarios():
-        result = sir_waveform(AfbmModem(spec.modulation_config(family, P)))
+        sir_db = sir_waveform(AfbmModem(spec.modulation_config(family, P)))
         rows.append((family, P, spec.L, spec.K, spec.N,
-                     result.value_db, int(result.orthogonal)))
+                     sir_db, int(sir_db == math.inf)))
     return {"header": header, "rows": tuple(rows)}
 
 

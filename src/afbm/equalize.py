@@ -92,7 +92,6 @@ class Equalizer:
 
     matrix: np.ndarray
     domain: str
-    noise_var: float
 
 
 def _add_herk(out: np.ndarray, a: np.ndarray) -> None:
@@ -197,7 +196,7 @@ def mmse(heff: EffectiveChannel, sigma2: float) -> Equalizer:
     Hm = heff.matrix
     gram = Hm.conj().T @ Hm
     E = _solve_spd(gram, Hm.conj().T, sigma2)
-    return Equalizer(E, heff.domain, float(sigma2))
+    return Equalizer(E, heff.domain)
 
 
 def delta_matrix(eq: Equalizer, heff: EffectiveChannel) -> np.ndarray:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -49,19 +48,11 @@ __all__ = [
     "ConditionedSir",
     "SirPass",
     "SirStatistics",
-    "WaveformSir",
     "ber_curve",
     "sir_conditioned",
     "sir_pass",
     "sir_waveform",
 ]
-
-
-class WaveformSir(NamedTuple):
-    """Waveform SIR in dB plus a flag for exactly orthogonal setups."""
-
-    value_db: float
-    orthogonal: bool
 
 
 @dataclass(frozen=True)
@@ -99,18 +90,17 @@ class BerPoint:
 # ----------------------------------------------------------------- SIR values
 
 
-def sir_waveform(modem: AfbmModem) -> WaveformSir:
-    """Intrinsic SIR of the modulation chain with an identity channel.
+def sir_waveform(modem: AfbmModem) -> float:
+    """Intrinsic SIR in dB of the modulation chain, identity channel.
 
     The identity realization's affine channel is S^H S, S the transmit
     matrix, and its conditioned SIR (:func:`_lower_sir_db`) is the
     payload's power against the interference leaked from the others.
-    Payload independent.  A +inf reading flags the setup as orthogonal.
+    Payload independent.  It reads +inf for an exactly orthogonal setup.
     """
     identity = _channel.ChannelRealization(
-        (_channel.PathSpec(1, 0, 0.0),), size=modem.cfg.frame_size)
-    value_db = _lower_sir_db(modem.effective_channel_affine(identity).matrix)
-    return WaveformSir(value_db, bool(value_db == np.inf))
+        (_channel.PathSpec(1, 0, 0.0),), modem.cfg.frame_size)
+    return _lower_sir_db(modem.effective_channel_affine(identity).matrix)
 
 
 def _sir_db(diag2: float, off2: float) -> float:
@@ -211,8 +201,7 @@ def _systems(modem: AfbmModem, realization: _channel.ChannelRealization,
     if through:
         affine.fill(0)
     if filtered or through:
-        support, sweep = modem._filtered_windows(realization,
-                                                 [buffer] * cfg.K)
+        support, sweep = modem._filtered_windows(realization, buffer)
         runs = _support_runs(support)
         y = received.get(FILTERED)
         rhs = None if y is None else np.zeros(n, dtype=complex)

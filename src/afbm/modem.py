@@ -32,7 +32,7 @@ channel is read on the N-point grid: each block is a sum of scalar
 tap weights times rolled copies of C.  One kernel
 (:meth:`AfbmModem._filtered_windows`) produces it one receive window at
 a time, and every consumer reads the windows as they come:
-:meth:`AfbmModem.effective_channel_filtered` writes them into H_f, and
+:meth:`AfbmModem.effective_channel_filtered` copies them into H_f, and
 the per-realization sweep (:func:`afbm.metrics._systems`), which serves
 SIR samples and BER frames alike, sums them into the filtered Gram and
 right-hand side without forming H_f.
@@ -518,7 +518,7 @@ class AfbmModem:
         if not self._affine_from_filtered:
             return EffectiveChannel(out, AFFINE, self._project_affine(c, out))
         buffer = np.empty((cfg.N, cfg.payload_size), dtype=complex)
-        support, sweep = self._filtered_windows(c, [buffer] * cfg.K)
+        support, sweep = self._filtered_windows(c, buffer)
         runs = _support_runs(support)
         for j, window in sweep:
             self._affine_rows(out, j, window, runs[j])
@@ -584,7 +584,7 @@ class AfbmModem:
                     .reshape(2 * K - 1, -1, N).sum(axis=1).T
         return table
 
-    def _filtered_windows(self, c, windows):
+    def _filtered_windows(self, c, window):
         """The filtered channel H_f of realization ``c``, one receive
         window (N x KL/2) at a time.
 
@@ -598,12 +598,10 @@ class AfbmModem:
         zero-weight blocks included, so no propagated row is formed and
         every entry is written once.
 
-        ``windows`` holds K C-ordered N x KL/2 destinations, window j
-        written into ``windows[j]``: H_f's own rows, or one buffer given
-        K times, which then holds one window at a time.  Returns the
-        block support, the propagated strips' reach (:meth:`_reach`),
-        and an iterator that writes the windows in order and yields
-        (j, windows[j]) after each.  Anything but a channel realization
+        ``window`` is one C-ordered N x KL/2 buffer.  Returns the block
+        support, the propagated strips' reach (:meth:`_reach`), and an
+        iterator that overwrites ``window`` with window j and yields
+        (j, window), for j in order.  Anything but a channel realization
         as ``c`` raises TypeError here, before any window is written.
         """
         twists = self._twists(c)
@@ -627,8 +625,8 @@ class AfbmModem:
                 weights = table[:, K - 1 - j:2 * K - 1 - j] * \
                     phase[j, None, None, :, None]
                 np.matmul(weights.reshape(N, K, -1), stacked,
-                          out=windows[j].reshape(N, K, w))
-                yield j, windows[j]
+                          out=window.reshape(N, K, w))
+                yield j, window
 
         return support, sweep()
 
@@ -638,14 +636,14 @@ class AfbmModem:
         Rows live on the NK-point receive bank output; columns are the
         payload coordinates.  With an identity channel this matrix is a
         near isometry.  The oracle of :func:`afbm.metrics._systems`, it
-        holds the windows of :meth:`_filtered_windows`.  Anything but a
-        channel realization as ``c`` raises TypeError.
+        copies each window of :meth:`_filtered_windows` into its rows.
+        Anything but a channel realization as ``c`` raises TypeError.
         """
         cfg = self.cfg
         out = np.empty((cfg.K, cfg.N, cfg.payload_size), dtype=complex)
-        support, sweep = self._filtered_windows(c, out)
-        for _ in sweep:
-            pass
+        support, sweep = self._filtered_windows(c, np.empty_like(out[0]))
+        for j, window in sweep:
+            out[j] = window
         return EffectiveChannel(out.reshape(cfg.N * cfg.K, -1), FILTERED,
                                 support)
 

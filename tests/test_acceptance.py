@@ -76,12 +76,12 @@ def _table(report):
 
 def test_waveform_sir_point(acceptance_recorder):
     t0 = time.perf_counter()
-    result = sir_waveform(AfbmModem(design_config(64, 8, 128, 96, "phydyas")))
+    sir_db = sir_waveform(AfbmModem(design_config(64, 8, 128, 96, "phydyas")))
     elapsed = time.perf_counter() - t0
-    ok = abs(result.value_db - 15.0) <= 1.5 and elapsed < 10.0
+    ok = abs(sir_db - 15.0) <= 1.5 and elapsed < 10.0
     assert _verdict(
         acceptance_recorder, 1, "waveform SIR point check", ok,
-        f"{result.value_db:.2f} dB, target 15 +- 1.5 dB; {elapsed:.1f} s")
+        f"{sir_db:.2f} dB, target 15 +- 1.5 dB; {elapsed:.1f} s")
 
 
 def test_waveform_sir_peak_location(acceptance_recorder):
@@ -91,7 +91,7 @@ def test_waveform_sir_peak_location(acceptance_recorder):
     for N, grid in SWEEP_GRIDS.items():
         values = [
             sir_waveform(AfbmModem(
-                design_config(N // 2, 8, N, P, "hermite"))).value_db
+                design_config(N // 2, 8, N, P, "hermite")))
             for P in grid]
         best = grid[int(np.argmax(values))]
         ok = ok and best == N
@@ -207,13 +207,13 @@ def test_property_bundle(acceptance_recorder, mid_hermite):
     sparse_channel = sample_channel(3, 6, 1.0, trial_stream(5, 1), size=64)
     rng = np.random.default_rng(42)
     s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    dense = channel_matrix(sparse_channel, 64) @ s
+    dense = channel_matrix(sparse_channel) @ s
     if np.abs(apply_channel(sparse_channel, s) - dense).max() >= 1e-10:
         failures.append("sparse-vs-dense channel application")
 
     S = mid_hermite.modulation_matrix()
     identity_delta = S.conj().T @ S
-    waveform_db = sir_waveform(mid_hermite).value_db
+    waveform_db = sir_waveform(mid_hermite)
     conditioned_db = sir_conditioned(identity_delta).value_db
     if abs(waveform_db - conditioned_db) >= 0.1:
         failures.append("waveform-vs-conditioned identity consistency")

@@ -236,7 +236,7 @@ def realizations(draw, M, N):
                         st.floats(-DOPPLER_MAX, DOPPLER_MAX))
     gain = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0)
     paths = tuple(PathSpec(draw(gain), d, draw(doppler)) for d in delays)
-    return ChannelRealization(paths, size=draw(st.sampled_from((M, None))))
+    return ChannelRealization(paths, size=M)
 
 
 class TestBlockPath:
@@ -259,7 +259,7 @@ class TestBlockPath:
         modem = oracle_modems[which]
         M = modem.cfg.frame_size
         ch = data.draw(realizations(M, modem.cfg.N))
-        H = channel_matrix(ch, size=M)
+        H = channel_matrix(ch)
         got = modem.effective_channel(ch, domain)
         want = self.dense(modem, H, domain)
         assert got.domain == domain
@@ -374,7 +374,7 @@ class TestAffineRoute:
         M = modem.cfg.frame_size
         ch = data.draw(realizations(M, modem.cfg.N))
         S = modem.modulation_matrix()
-        want = S.conj().T @ channel_matrix(ch, size=M) @ S
+        want = S.conj().T @ channel_matrix(ch) @ S
         scale = sum(abs(p.gain) for p in ch.paths)
         routes = (modem, self.other_route(modem))
         got = [m.effective_channel_affine(ch) for m in routes]
@@ -415,7 +415,7 @@ class TestFilteredKernel:
         M = through.cfg.frame_size
         ch = data.draw(realizations(M, through.cfg.N))
         want = through.filter_matrix().T @ (
-            channel_matrix(ch, size=M) @ through.modulation_matrix())
+            channel_matrix(ch) @ through.modulation_matrix())
         # Each path's filtered channel has Frobenius norm about
         # |gain| sqrt(KL/2): unit-norm transmit columns through a
         # near-tight receive bank.
@@ -443,7 +443,7 @@ class TestFilteredKernel:
             reached = np.zeros((cfg.K, cfg.K), dtype=bool)
             for k, j, *_ in direct._propagated_pieces(direct._twists(ch)):
                 reached[j, k] = True
-            support, _ = through._filtered_windows(ch, [window] * cfg.K)
+            support, _ = through._filtered_windows(ch, window)
             assert np.array_equal(support, reached)
             assert np.array_equal(direct._project_affine(ch, out), reached)
 

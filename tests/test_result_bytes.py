@@ -5,8 +5,10 @@ recomputes a small set of every experiment kind at 1 and 2 workers and
 compares each CSV's sha256, taken below its stamp line, with the table
 recorded for this package version and BLAS stamp
 (:func:`conftest.blas_stamp`).  Another BLAS build or core may move
-bits at roundoff with no change to the package, so under a stamp with
-no entry the test skips, naming both stamps and the files that differ.
+bits at roundoff with no change to the package: the table holds the
+SkylakeX, Haswell and SandyBridge kernels of numpy 2.4.6's and scipy
+1.17.1's OpenBLAS, and under a stamp with no entry the test skips,
+naming both stamps and the files that differ.
 The BER CSV is checked first, under every stamp: its bit-error counts
 are integers and read the same under the SkylakeX, Haswell and
 SandyBridge kernels, so that layer never skips.  A change that moves
@@ -59,6 +61,60 @@ TABLE = {
             "1a21fdf4071708f539421d16b226e5ebba0219cf538e638a90bee10a03c09102",
         "sir-channel-792450e9d50f.csv":
             "196839a28a0bf70e5cfa1e2cba66bb81a61646741dff6ef96b79fe1e4aa788dd",
+        "sir-waveform-0e85536a7eb0.csv":
+            "283c23d56b5c8c2f8790bc298bd5b8f8f72a6fef778b4736f18cf2e1364284ea",
+    },
+    ("0.7.1", ("libscipy_openblas64_ 0.3.31.188.0 Haswell threads=1",
+               "libscipy_openblas 0.3.30 Haswell threads=1")): {
+        "ber-35b7971a069f.csv":
+            "b1922fb45fdd84f51eb3eb2d68caff27cd94927b5068a6e9dd7fe7c238a9d9f6",
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-affine.csv":
+            "994d8fb1e6e755bf2217bc68cc36c0b3f338200371a93946679eaf0ba59db6b4",
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-filtered.csv":
+            "1cae5b3c3794acc98d7153a793e37e99022f5ee6365c6af0a184556ab9f6123b",
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-affine.csv":
+            "b50649e2336a26f3a9676a79c2c467ea0ca30ce8a090dcc12525775f57c9a03e",
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-filtered.csv":
+            "6d814c525c3d0896e7cc633297a910cbacb6bfd84d844d4eb1ab97f4f570456c",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-affine.csv":
+            "246ccb8a3043410ef87ee6d66652843246063e7e48b8c52832039df3daad9654",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-filtered.csv":
+            "c3a0f4de84eccadf5e49093ec3f6041ee7ec44bd98f7155cfd214df9a3661fd6",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-affine.csv":
+            "fda5d486492e91641aeb2eb4c908a415a105501c8cf8f0c04c1b6a4af119398a",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-filtered.csv":
+            "0b39870fca3775c72e5744357a2f5391d530c2622fcc2caeb90a0b3ee8ea1429",
+        "sir-channel-792450e9d50f-samples.csv":
+            "d4c327b8349de80b7b871c5f772a52f544904fb624f2252cdfcfbf06400d8e95",
+        "sir-channel-792450e9d50f.csv":
+            "651854412b682a753ac973878dcddeac6d486afbc5ad6b204897c68d69889c45",
+        "sir-waveform-0e85536a7eb0.csv":
+            "1d2e23b6036fa041423d539a1ac9535a38cb18cc068d00f288f94a5823badfbf",
+    },
+    ("0.7.1", ("libscipy_openblas64_ 0.3.31.188.0 Sandybridge threads=1",
+               "libscipy_openblas 0.3.30 Sandybridge threads=1")): {
+        "ber-35b7971a069f.csv":
+            "b1922fb45fdd84f51eb3eb2d68caff27cd94927b5068a6e9dd7fe7c238a9d9f6",
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-affine.csv":
+            "fa4a5da8e3b5b0f68b740f9cb85ad2c4344a483ff11eb55c43854405539828f8",
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-filtered.csv":
+            "5e4b6b029cfcfd20e56491b53fab93dcddbd1d5e3fee7e6ed57df8b57c4ca6e3",
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-affine.csv":
+            "1b4fceeac2ddcc54834e791d0b9e51433fbe7ee7a4e376a3cc1334a1d0c46f5d",
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-filtered.csv":
+            "8655a7a0b7ad5ae6266314ab6229a501866b56414b292581e93b4aa2d129abae",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-affine.csv":
+            "8b4e8eccea44149fefb89570b936cf08acce0c611520d0b60921b862d8289364",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-filtered.csv":
+            "f5b0172772dac7f48abf3cf991c17e9c7d010718a712ee40b2462804ff5c53d1",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-affine.csv":
+            "ca5e66b6097f37b5cd198dd17a8099a72273858060a858e8323dc54e736cae7c",
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-filtered.csv":
+            "796c9434f50cf4781db06474e5074553a0c9d775031f63b5c75688aaf5f6d07f",
+        "sir-channel-792450e9d50f-samples.csv":
+            "eacd65afa4f85e6f0a9585d28d1d03c4f1908eb2fd0bd8828278f54afb19e70b",
+        "sir-channel-792450e9d50f.csv":
+            "0d7c1a07491eba00c87912403259b991e76961f2758f6a2f0c3a94337da9f0ba",
         "sir-waveform-0e85536a7eb0.csv":
             "283c23d56b5c8c2f8790bc298bd5b8f8f72a6fef778b4736f18cf2e1364284ea",
     },

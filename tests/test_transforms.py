@@ -88,6 +88,11 @@ class TestGridAlignmentPhases:
         ph = grid_alignment_phases(8, 1.5)
         assert np.array_equal(ph, np.array([1, 1j, -1, -1j] * 2))
 
+    def test_rejects_overlap_with_fractional_double(self):
+        with pytest.raises(ValueError,
+                           match=r"2\*overlap must be an integer"):
+            grid_alignment_phases(8, 1.3)
+
 
 class TestSynthesisBlock:
 
