@@ -3,10 +3,11 @@
 Monte-Carlo runs parallelize over worker processes (``--workers``), so
 each process keeps BLAS to one thread unless the environment already
 sets a count.  BLAS reads these variables once, when its library loads,
-so they are set here, before :mod:`afbm.cli` imports numpy (numpy's
-OpenBLAS) and :mod:`afbm.equalize` loads scipy's BLAS/LAPACK modules
-(scipy's own OpenBLAS); the package's ``__init__`` imports nothing
-heavy for the same reason.
+so they are set here, before :mod:`afbm.cli` imports numpy; the
+package's ``__init__`` imports nothing heavy for the same reason.
+They matter for numpy's OpenBLAS only: :mod:`afbm.equalize` binds its
+kernels from that same copy, and loads scipy's own OpenBLAS only where
+numpy's BLAS does not export them.
 """
 
 import os

@@ -19,22 +19,32 @@ returning soft estimates that the QAM demapper slices.
 :func:`delta_matrix` and :func:`equalize_and_detect` is the oracle the
 fast paths are checked against.
 
-The fast paths call scipy's BLAS and LAPACK kernels through its two
-compiled modules, ``_fblas`` and ``_flapack``, which
-:func:`_scipy_extension` loads straight from scipy's install directory:
-importing the packages would add scipy's ``__init__`` (``subprocess``,
-``sysconfig``, Cython helpers) and ``scipy.linalg``'s array-API layer
-(``numpy.f2py``, ``numpy.testing``, ``numpy.ma``) to every process's
-start-up time and peak memory, for code none of them runs.  Only the
-oracle's :func:`_solve_spd` imports ``scipy.linalg``.
+The fast paths call five BLAS and LAPACK kernels, ``zherk``,
+``zpotrf``, ``zpotri``, ``zpotrs`` and ``zlantr``, through one table,
+``_kernels``, bound once at import.  numpy's own OpenBLAS exports them
+with 64-bit integers (``scipy_zherk_64_`` from numpy 2 on,
+``zherk_64_`` in numpy 1.x), and ``ctypes`` finds them through numpy's
+already-loaded ``_multiarray_umath`` extension, so a process maps one
+BLAS library and touches one work buffer.  Each binding reads its
+operands in place, a column slice through its leading dimension, and
+refuses by name a layout BLAS cannot read rather than copy it.  Where
+numpy's BLAS exports neither spelling (MKL or distribution builds),
+the table falls back to scipy's two compiled modules, ``_fblas`` and
+``_flapack``, which :func:`_scipy_extension` loads straight from
+scipy's install directory without running scipy's or
+``scipy.linalg``'s ``__init__``.  Only the oracle's :func:`_solve_spd`
+imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
+import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -60,8 +70,8 @@ def _scipy_extension(name: str):
     ``import scipy``, whose ``_distributor_init`` is where a
     distribution sets up the BLAS or DLLs its kernels link against.
     The full dotted name keys CPython's cache of single-phase extension
-    modules, so the kernels are the very objects ``scipy.linalg.blas``
-    and ``scipy.linalg.lapack`` export, whichever is imported first.
+    modules, so the module is the one ``scipy.linalg`` imports, whichever
+    is imported first.
     """
     package = importlib.util.find_spec("scipy")
     if package is None:
@@ -82,8 +92,159 @@ def _scipy_extension(name: str):
     return module
 
 
-_fblas = _scipy_extension("_fblas")
-_flapack = _scipy_extension("_flapack")
+# Each kernel's Fortran arguments, then the hidden length of each
+# character argument, and its result.
+_CHAR, _LEN, _ARRAY = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_void_p
+_INT, _REAL = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+_FACTOR = ([_CHAR, _INT, _ARRAY, _INT, _INT, _LEN], None)
+_SIGNATURES = {
+    "zherk": ([_CHAR, _CHAR, _INT, _INT, _REAL, _ARRAY, _INT, _REAL, _ARRAY,
+               _INT, _LEN, _LEN], None),
+    "zpotrf": _FACTOR,
+    "zpotri": _FACTOR,
+    "zpotrs": ([_CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT, _LEN],
+               None),
+    "zlantr": ([_CHAR, _CHAR, _CHAR, _INT, _INT, _ARRAY, _INT, _ARRAY, _LEN,
+                _LEN, _LEN], ctypes.c_double),
+}
+
+
+def _numpy_symbols() -> dict | None:
+    """The five kernels of numpy's own BLAS as ``ctypes`` functions, or
+    None where it exports neither 64-bit-integer spelling.
+
+    Opening numpy's ``_multiarray_umath``, which is already loaded,
+    maps nothing new, and its symbol lookup reaches the BLAS it links.
+    """
+    umath = (sys.modules.get("numpy._core._multiarray_umath")
+             or sys.modules["numpy.core._multiarray_umath"])
+    lib = ctypes.CDLL(umath.__file__)
+    for spelling in ("scipy_{}_64_", "{}_64_"):
+        found = {name: getattr(lib, spelling.format(name), None)
+                 for name in _SIGNATURES}
+        if all(found.values()):
+            for name, func in found.items():
+                func.argtypes, func.restype = _SIGNATURES[name]
+            return found
+    return None
+
+
+def _ld(kernel: str, a: np.ndarray, write: bool = False) -> int:
+    """The leading dimension under which BLAS reads ``a`` in place as a
+    Fortran matrix: its column stride in elements.
+
+    A layout BLAS cannot read so, or a read-only ``a`` that ``write``
+    asks to change, raises ValueError naming it: nothing is copied.
+    """
+    m, n = a.shape
+    ld = a.strides[1] // a.itemsize
+    if not (a.dtype == np.complex128 and a.flags.aligned
+            and (a.flags.writeable or not write)
+            and (m <= 1 or a.strides[0] == a.itemsize)
+            and (n <= 1 or (a.strides[1] % a.itemsize == 0
+                            and ld >= max(m, 1)))):
+        raise ValueError(
+            f"{kernel}: BLAS cannot {'write' if write else 'read'} in place "
+            f"a {'' if a.flags.writeable else 'read-only '}{a.dtype} "
+            f"{m}x{n} operand with strides {a.strides}")
+    return ld if n > 1 else max(m, 1)
+
+
+def _ctypes_kernels(symbols: dict) -> SimpleNamespace:
+    """The table over numpy's BLAS.  Each kernel works on the upper
+    triangle of Fortran-ordered operands, in place, and passes every
+    integer as a 64-bit one and each character's hidden length."""
+
+    def ints(*values):
+        return [ctypes.byref(ctypes.c_int64(v)) for v in values]
+
+    def real(value):
+        return ctypes.byref(ctypes.c_double(value))
+
+    def square(kernel, a, write=True):
+        if a.shape[0] != a.shape[1]:
+            raise ValueError(f"{kernel}: operand must be square, got "
+                             f"{a.shape}")
+        return _ld(kernel, a, write)
+
+    def zherk(c, a, beta):
+        lda = _ld("zherk", a)
+        ldc = square("zherk", c)
+        if c.shape[0] != a.shape[0]:
+            raise ValueError(f"zherk: {c.shape} result for a {a.shape} "
+                             f"operand")
+        symbols["zherk"](b"U", b"N", *ints(*a.shape), real(1.0),
+                         a.ctypes.data, *ints(lda), real(beta),
+                         c.ctypes.data, *ints(ldc), 1, 1)
+
+    def factor(kernel, a):
+        info = ctypes.c_int64()
+        symbols[kernel](b"U", *ints(len(a)), a.ctypes.data,
+                        *ints(square(kernel, a)), ctypes.byref(info), 1)
+        return info.value
+
+    def zpotrs(a, b):
+        b2 = b if b.ndim == 2 else b[:, None]
+        ldb = _ld("zpotrs", b2, write=True)
+        if len(b2) != len(a):
+            raise ValueError(f"zpotrs: {b.shape} right-hand side for a "
+                             f"{a.shape} factor")
+        info = ctypes.c_int64()
+        symbols["zpotrs"](b"U", *ints(len(a), b2.shape[1]), a.ctypes.data,
+                          *ints(square("zpotrs", a, False)), b2.ctypes.data,
+                          *ints(ldb), ctypes.byref(info), 1)
+        return info.value
+
+    def zlantr(norm, a):
+        work = np.empty(max(a.shape[0], 1))
+        return symbols["zlantr"](norm.encode(), b"U", b"N", *ints(*a.shape),
+                                 a.ctypes.data, *ints(_ld("zlantr", a)),
+                                 work.ctypes.data, 1, 1, 1)
+
+    return SimpleNamespace(
+        zherk=zherk, zpotrf=lambda a: factor("zpotrf", a),
+        zpotri=lambda a: factor("zpotri", a), zpotrs=zpotrs, zlantr=zlantr)
+
+
+def _scipy_kernels() -> SimpleNamespace:
+    """The same table over scipy's f2py modules.  f2py copies an operand
+    it cannot pass as it is, so each result is written back into it."""
+    fblas, flapack = _scipy_extension("_fblas"), _scipy_extension("_flapack")
+
+    def into(a, got):
+        if got is not a:
+            a[...] = got
+
+    def zherk(c, a, beta):
+        into(c, fblas.zherk(1.0, a, beta=beta, c=c, overwrite_c=1))
+
+    def zpotrf(a):
+        got, info = flapack.zpotrf(a, clean=0, overwrite_a=1)
+        into(a, got)
+        return info
+
+    def zpotri(a):
+        got, info = flapack.zpotri(a, overwrite_c=1)
+        into(a, got)
+        return info
+
+    def zpotrs(a, b):
+        got, info = flapack.zpotrs(a, b, overwrite_b=1)
+        into(b, got)
+        return info
+
+    return SimpleNamespace(
+        zherk=zherk, zpotrf=zpotrf, zpotri=zpotri, zpotrs=zpotrs,
+        zlantr=lambda norm, a: flapack.zlantr(norm, a, uplo="U"))
+
+
+# zherk(c, a, beta): c's upper triangle becomes a a^H + beta c.
+# zpotrf(a), zpotri(a): a's upper Cholesky factor, then from it the
+# inverse's upper triangle, in place; each returns LAPACK's info.
+# zpotrs(a, b): b becomes the solution from the factor a; returns info.
+# zlantr(norm, a): the norm of a's upper trapezoid.
+_symbols = _numpy_symbols()
+_kernels = _ctypes_kernels(_symbols) if _symbols else _scipy_kernels()
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +259,12 @@ def _add_herk(out: np.ndarray, a: np.ndarray) -> None:
     """Add a^H a to the lower triangle of the C-ordered n x n ``out``,
     in place.
 
-    ``zherk`` reads a C-ordered ``a`` as its Fortran transpose without
-    a copy and, with beta = 1, accumulates a^T conj(a), the transpose of
-    a^H a, into the upper triangle of ``out.T``, which is ``out``'s
-    lower one: no n x n temporary is made.
+    ``zherk`` reads ``a``, whose rows have unit stride, as its Fortran
+    transpose without a copy and, with beta = 1, accumulates
+    a^T conj(a), the transpose of a^H a, into the upper triangle of
+    ``out.T``, which is ``out``'s lower one: no n x n temporary is made.
     """
-    _fblas.zherk(1.0, a.T, beta=1.0, c=out.T, trans=0, lower=0,
-                 overwrite_c=1)
+    _kernels.zherk(out.T, a.T, 1.0)
 
 
 def _window_gram(out: np.ndarray, window: np.ndarray,
@@ -115,16 +275,19 @@ def _window_gram(out: np.ndarray, window: np.ndarray,
     ``window`` is the window's rows of h, ``runs`` the [a, b) runs of
     consecutive symbols its support row holds, and w the columns per
     symbol.  A single run over every symbol accumulates in place
-    (:func:`_add_herk`).  Otherwise each run adds one ``zherk`` triangle
-    and one product per run before it.
+    (:func:`_add_herk`).  Otherwise each run adds one ``zherk`` triangle,
+    which ``zherk`` reads from the run's columns of ``window`` through
+    its leading dimension, and one product per run before it.
     """
     if runs == [(0, out.shape[0] // w)]:
         _add_herk(out, window)
         return
     for i, (a, b) in enumerate(runs):
         run = window[:, a * w:b * w]
-        out[a * w:b * w, a * w:b * w] += _fblas.zherk(
-            1.0, run.T, trans=0, lower=0).T
+        triangle = np.zeros(((b - a) * w,) * 2, dtype=complex)
+        _kernels.zherk(triangle.T, run.T, 0.0)
+        out[a * w:b * w, a * w:b * w] += triangle
+        del triangle    # freed before the products' temporaries
         for c, d in runs[:i]:
             out[a * w:b * w, c * w:d * w] += \
                 run.conj().T @ window[:, c * w:d * w]
@@ -245,14 +408,14 @@ def delta_from_gram(gram: np.ndarray, sigma2: float) -> np.ndarray:
     # The Fortran view of the C-ordered G + r I is its conjugate; its
     # upper triangle is the lower one, which ends up holding the
     # inverse's.
-    factor, info = _flapack.zpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
+    info = _kernels.zpotrf(gram.T)
     if info == 0:
-        inverse, info = _flapack.zpotri(factor, lower=0, overwrite_c=1)
+        info = _kernels.zpotri(gram.T)
     if info != 0:
         raise ValueError(
             f"delta_from_gram: {n}x{n} Gram matrix plus r={r:g} is not "
             f"positive definite to working precision (LAPACK info {info})")
-    delta = inverse.T
+    delta = gram
     delta *= -r
     delta[np.diag_indices(n)] += 1.0
     return delta
@@ -301,8 +464,7 @@ def mmse_detect(gram: np.ndarray, rhs: np.ndarray,
         raise ValueError(f"right-hand side must have shape ({n},), "
                          f"got {rhs.shape}")
     gram[np.diag_indices(n)] += sigma2
-    factor, info = _flapack.zpotrf(gram.T, lower=0, clean=0, overwrite_a=1)
-    if info != 0:
+    if _kernels.zpotrf(gram.T) != 0:
         raise _rank_deficient(n, sigma2)
-    soft, _ = _flapack.zpotrs(factor, rhs, lower=0, overwrite_b=1)
-    return soft.conj()
+    _kernels.zpotrs(gram.T, rhs)
+    return rhs.conj()

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel as _channel
-from .equalize import _flapack, _gram, _window_gram, delta_from_gram, \
+from .equalize import _gram, _kernels, _window_gram, delta_from_gram, \
     mmse_detect
 from .modem import AFFINE, FILTERED, AfbmModem, EffectiveChannel, \
     ModulationConfig, _qam_params, _support_runs, qam_demap, qam_map
@@ -131,7 +131,7 @@ def _lower_sir_db(delta: np.ndarray) -> float:
     triangle's Frobenius norm in place, so the interference, twice its
     square, is summed without a copy or a mirror.
     """
-    lower = _flapack.zlantr("F", delta[1:].T, uplo="U")
+    lower = _kernels.zlantr("F", delta[1:].T)
     return _sir_db(float(np.sum(np.abs(np.diag(delta)) ** 2)),
                    2.0 * lower ** 2)
 

@@ -33,9 +33,12 @@ def blas_stamp() -> tuple[str, ...]:
     through ctypes: its name, version, the core its DYNAMIC_ARCH
     dispatch picked and its thread count.
 
-    numpy and scipy each load their own copy, so both are named: the
-    Gram and Cholesky kernels run in scipy's, the products in numpy's.
-    Empty where the loaded libraries cannot be listed (no /proc).
+    numpy and scipy each ship their own copy.  Every kernel the package
+    calls runs in numpy's, where it exports them (:mod:`afbm.equalize`),
+    but the stamp loads scipy's too and names both, so it reads the
+    same whichever the package uses and the result tables stay keyed
+    as they were recorded.  Empty where the loaded libraries cannot be
+    listed (no /proc).
     """
     import scipy.linalg.blas  # noqa: F401  (loads scipy's copy)
     try:

@@ -356,10 +356,15 @@ class TestSirSample:
         # holds one 256 x 512 window of it at a time, in a block of 8 MiB
         # (Hermite: the Gram, then the window or the affine channel) or
         # 10 MiB (PHYDYAS: the Gram, the affine channel and the window).
+        # Both peak near 12.6 MiB: zherk reads a Hermite window's runs
+        # in place, where a Fortran copy of a 5-symbol run (1.25 MiB)
+        # took Hermite to 13.87.  numpy.random, which the channel draw
+        # imports on first use, is loaded first: only the sample counts.
         modem = AfbmModem(design_config(128, 8, 256, 192, family))
         chan = ChannelConfig(n_paths=3, delay_max=16, doppler_max=2.0)
         noise = ((AFFINE, 1e-3), (FILTERED, 1e-3))
         filtered_bytes = 2048 * 512 * np.dtype(complex).itemsize
+        import numpy.random  # noqa: F401
         tracemalloc.start()
         try:
             metrics._sir_sample(modem, chan, 20250819, 0, noise, False)
@@ -367,7 +372,7 @@ class TestSirSample:
         finally:
             tracemalloc.stop()
         assert filtered_bytes == 16 * 2 ** 20
-        assert peak < 14 * 2 ** 20
+        assert peak < 13 * 2 ** 20
 
     def test_heatmap_pass_peak(self):
         # The sir-heatmap shape: one sample's block of 8 MiB and, held

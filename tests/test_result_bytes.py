@@ -9,14 +9,19 @@ bits at roundoff with no change to the package: the table holds the
 SkylakeX, Haswell and SandyBridge kernels of numpy 2.4.6's and scipy
 1.17.1's OpenBLAS, and under a stamp with no entry the test skips,
 naming both stamps and the files that differ.
-The BER CSV is checked first, under every stamp: its bit-error counts
-are integers and read the same under the SkylakeX, Haswell and
-SandyBridge kernels, so that layer never skips.  A change that moves
-result bytes on purpose bumps the version and records a new entry;
-with none recorded for a version, the test fails and prints this run's.
+Two layers come first and never skip.  The BER CSV's bytes must match:
+its bit-error counts are integers and read the same under the
+SkylakeX, Haswell and SandyBridge kernels.  Then each SIR sample,
+waveform SIR and heatmap sum and maximum must lie within a stated
+bound of the values recorded here, so a runner whose stamp has no
+table entry still checks every result.  A change that moves result
+bytes on purpose bumps the version and records a new entry and new
+values; with none recorded for a version, the test fails and prints
+this run's.
 """
 
 import hashlib
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,18 +126,102 @@ TABLE = {
 }
 
 
-def result_hashes(workers: int, out_dir: Path) -> dict[str, str]:
-    """Each CSV the set writes at ``workers``, by name: the sha256 of
-    its bytes after the stamp line."""
-    hashes = {}
+# The value layer, checked under every stamp: per version, each SIR
+# sample and waveform SIR in dB and each heatmap's (exact sum, maximum)
+# of its power cells, recorded under the SkylakeX stamp.  Across the
+# SkylakeX, Haswell and SandyBridge kernels these moved by at most
+# 1.1e-13 dB (SIR samples), 7.1e-15 dB (waveform SIRs) and, per cell,
+# 2.1e-15 of the map's maximum.  Each bound is that spread times MARGIN;
+# a sum's is the per-cell bound times the cells it sums.
+MARGIN = 10
+SIR_DB, WAVEFORM_DB, HEATMAP_CELL = 1.1e-13, 7.1e-15, 2.1e-15
+MAP_CELLS = 256 ** 2    # a payload of K L / 2 = 256 symbols
+VALUES = {
+    "0.7.1": {
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-affine.csv":
+            (216.73905857939698, 0.9077660710182124),
+        "sir-channel-792450e9d50f-heatmap-hermite-P128-filtered.csv":
+            (255.15034160520818, 0.998207339114713),
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-affine.csv":
+            (214.19542734736135, 0.9034608387614633),
+        "sir-channel-792450e9d50f-heatmap-hermite-P96-filtered.csv":
+            (255.08268456500642, 0.9979804488443195),
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-affine.csv":
+            (214.26830395247737, 0.9121537625475057),
+        "sir-channel-792450e9d50f-heatmap-phydyas-P128-filtered.csv":
+            (255.10480826326952, 0.9981517734583717),
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-affine.csv":
+            (212.17261950734652, 0.8974147850309048),
+        "sir-channel-792450e9d50f-heatmap-phydyas-P96-filtered.csv":
+            (254.97182426551888, 0.9979480021269319),
+        "sir-channel-792450e9d50f-samples.csv": (
+            14.317168283929377, 17.792478989219674, 14.055170966178709,
+            46.17037964990433, 50.76819980021889, 45.82074075040913,
+            14.684953624241182, 18.4532467885102, 15.766017853369263,
+            45.88636931097824, 50.14978008628668, 48.04335006697815,
+            14.532881898417116, 16.569079546111972, 13.866231926333674,
+            45.83698792899011, 47.903373689310165, 44.77676297328668,
+            14.520317460864415, 16.580730369328677, 16.4334501094435,
+            45.559335259535416, 48.66597055717551, 49.99555032868844,
+        ),
+        "sir-waveform-0e85536a7eb0.csv": (
+            22.421754785289323, 25.100321493759942, 15.516890215903851,
+            15.731831347954369,
+        ),
+    },
+}
+
+
+def result_bodies(workers: int, out_dir: Path) -> dict[str, bytes]:
+    """Each CSV the set writes at ``workers``, by name: its bytes after
+    the stamp line."""
+    bodies = {}
     for spec in SPECS:
         for path in write_report(spec, run(spec, workers=workers),
                                  str(out_dir / spec.kind)):
             if path.endswith(".csv"):
                 data = Path(path).read_bytes()
-                hashes[Path(path).name] = hashlib.sha256(
-                    data[data.index(b"\n") + 1:]).hexdigest()
-    return hashes
+                bodies[Path(path).name] = data[data.index(b"\n") + 1:]
+    return bodies
+
+
+def result_values(bodies: dict[str, bytes]) -> dict[str, tuple]:
+    """The values the value layer compares: the SIR samples' and the
+    waveform SIRs' last column in dB, and each heatmap's (sum, maximum)
+    of its power column, summed exactly."""
+    values = {}
+    for name, body in bodies.items():
+        rows = [line.split(",") for line in body.decode().splitlines()[1:]]
+        if "-heatmap-" in name:
+            power = [float(row[2]) for row in rows]
+            values[name] = (math.fsum(power), max(power))
+        elif name.endswith("-samples.csv"):
+            values[name] = tuple(float(row[4]) for row in rows)
+        elif name.startswith("sir-waveform-"):
+            values[name] = tuple(float(row[5]) for row in rows)
+    return values
+
+
+def _outside_bounds(want: dict, got: dict) -> list[str]:
+    """Each value of ``got`` farther from ``want`` than its bound."""
+    outside = []
+    for name, recorded in want.items():
+        have = got.get(name)
+        if "-heatmap-" in name:
+            cell = MARGIN * HEATMAP_CELL * recorded[1]
+            bounds = (cell * MAP_CELLS, cell)
+        elif name.startswith("sir-waveform-"):
+            bounds = (MARGIN * WAVEFORM_DB,) * len(recorded)
+        else:
+            bounds = (MARGIN * SIR_DB,) * len(recorded)
+        if have is None or len(have) != len(recorded):
+            outside.append(f"{name}: {have} against {recorded}")
+            continue
+        outside += [f"{name}[{i}]: {h!r} against {w!r}, bound {b:.2g}"
+                    for i, (h, w, b) in enumerate(zip(have, recorded,
+                                                      bounds))
+                    if not (h == w or abs(h - w) <= b)]
+    return outside
 
 
 def _differing(want: dict, got: dict) -> list[str]:
@@ -142,13 +231,21 @@ def _differing(want: dict, got: dict) -> list[str]:
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_result_bytes_match_the_table(workers, blas_stamp, tmp_path):
-    got = result_hashes(workers, tmp_path)
+    bodies = result_bodies(workers, tmp_path)
+    got = {name: hashlib.sha256(body).hexdigest()
+           for name, body in bodies.items()}
     recorded = [stamp for version, stamp in TABLE if version == __version__]
-    assert recorded, (f"no result bytes recorded for afbm {__version__}; "
-                      f"this run's, under {(__version__, blas_stamp)}: {got}")
+    assert recorded and __version__ in VALUES, (
+        f"no result bytes recorded for afbm {__version__}; this run's, "
+        f"under {(__version__, blas_stamp)}: {got}, values "
+        f"{result_values(bodies)}")
     first = TABLE[__version__, recorded[0]]
     assert got.get(BER_CSV) == first[BER_CSV], \
         f"BER bytes moved at workers={workers} under BLAS {blas_stamp}"
+    outside = _outside_bounds(VALUES[__version__], result_values(bodies))
+    assert not outside, (f"values moved beyond their bounds at "
+                         f"workers={workers} under BLAS {blas_stamp}: "
+                         f"{outside}")
     want = TABLE.get((__version__, blas_stamp))
     if want is None:
         differ = _differing(first, got)
@@ -157,4 +254,3 @@ def test_result_bytes_match_the_table(workers, blas_stamp, tmp_path):
                     f"{differ or 'none'}")
     differ = _differing(want, got)
     assert not differ, f"result bytes moved at workers={workers}: {differ}"
-
